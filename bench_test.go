@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -234,17 +235,57 @@ func BenchmarkAblation_150ByteAcks(b *testing.B) {
 // Substrate micro-benchmarks
 
 // BenchmarkEngineScheduleRun measures raw event throughput of the
-// discrete-event engine.
+// discrete-event engine; one op is one event.
+//
+//   - ties: batches of 1024 events on 64 timestamps, nearly every
+//     comparison a tie in firing time.
+//   - hold: the classic hold model, shaped like fabric traffic. 640 events
+//     stay pending; each one that fires schedules one child a uniform
+//     1–64 µs later, so about 1% of them land on an instant that already
+//     has an event. Every 8th event also re-arms one of 64 timers 10 ms
+//     out, which is cancelled before it fires, like an RTO.
 func BenchmarkEngineScheduleRun(b *testing.B) {
-	eng := sim.New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Schedule(eng.Now()+sim.Time(i%64), func() {})
-		if i%1024 == 1023 {
-			eng.Run()
+	b.Run("ties", func(b *testing.B) {
+		eng := sim.New()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng.Schedule(eng.Now()+sim.Time(i%64), func() {})
+			if i%1024 == 1023 {
+				eng.Run()
+			}
 		}
-	}
-	eng.Run()
+		eng.Run()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+	})
+	b.Run("hold", func(b *testing.B) {
+		const pending, timers = 640, 64
+		eng := sim.New()
+		rng := rand.New(rand.NewSource(1))
+		rto := make([]*sim.Timer, timers)
+		for i := range rto {
+			rto[i] = sim.NewTimer(eng, func() {})
+		}
+		fired := 0
+		var tick func(any)
+		tick = func(any) {
+			eng.AfterArg(units.Duration(1+rng.Intn(64_000))*units.Nanosecond, tick, nil)
+			if fired++; fired%8 == 0 {
+				rto[fired/8%timers].Reset(10 * units.Millisecond)
+			}
+		}
+		for i := 0; i < pending; i++ {
+			eng.AfterArg(units.Duration(1+rng.Intn(64_000))*units.Nanosecond, tick, nil)
+		}
+		for i := 0; i < 16*pending; i++ { // grow the slabs to steady state
+			eng.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+	})
 }
 
 // BenchmarkREDEnqueueDequeue measures the RED fast path.

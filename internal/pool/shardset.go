@@ -2,17 +2,21 @@ package pool
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
-// ShardSet is the persistent worker crew behind the sharded event loop: one
-// pinned goroutine per shard, released in lockstep rounds by a coordinator.
-// The conservative-lookahead loop runs one round per time window, and windows
-// are microseconds of simulated time — hundreds of thousands of rounds per
-// run — so the release/join cycle must cost well under a mutex+condvar
-// handoff. Workers therefore spin on an atomic epoch (yielding to the Go
-// scheduler each iteration, so oversubscribed hosts and the race detector
-// stay healthy) instead of parking on a sync primitive.
+// ShardSet is the persistent worker crew behind the sharded event loop: the
+// coordinator runs shard 0 itself and one pinned goroutine runs each other
+// shard, released in lockstep rounds. The conservative-lookahead loop runs
+// one round per time window, and windows are microseconds of simulated time
+// — hundreds of thousands of rounds per run — so the release/join cycle must
+// cost well under a mutex+condvar handoff. Workers therefore spin on an
+// atomic epoch (yielding to the Go scheduler each iteration, so
+// oversubscribed hosts and the race detector stay healthy) instead of
+// parking on a sync primitive. Running shard 0 on the coordinator keeps one
+// goroutine per shard busy during a round instead of adding a spinning
+// coordinator on top.
 //
 // All cross-worker data handoff rides on the epoch/join atomics: writes made
 // by the coordinator before Round happen-before the workers' fn, and writes
@@ -23,14 +27,17 @@ type ShardSet struct {
 	epoch   atomic.Uint64
 	joined  atomic.Int64
 	closing atomic.Bool
+	exited  sync.WaitGroup
 }
 
-// NewShardSet starts n worker goroutines that each run fn(shard) once per
-// Round. fn must confine itself to shard-owned state plus the single-writer
-// handoff lanes the coordinator drains between rounds.
+// NewShardSet prepares n ≥ 1 shards that each run fn(shard) once per Round,
+// starting n-1 worker goroutines. fn must confine itself to shard-owned
+// state plus the single-writer handoff lanes the coordinator drains between
+// rounds.
 func NewShardSet(n int, fn func(shard int)) *ShardSet {
 	s := &ShardSet{n: n, fn: fn}
-	for i := 0; i < n; i++ {
+	s.exited.Add(n - 1)
+	for i := 1; i < n; i++ {
 		go s.worker(i)
 	}
 	return s
@@ -38,6 +45,7 @@ func NewShardSet(n int, fn func(shard int)) *ShardSet {
 
 // worker spins for the next epoch, runs the shard body, and reports in.
 func (s *ShardSet) worker(shard int) {
+	defer s.exited.Done()
 	seen := uint64(0)
 	for {
 		e := s.epoch.Load()
@@ -54,16 +62,21 @@ func (s *ShardSet) worker(shard int) {
 	}
 }
 
-// Round releases every worker for one execution of fn and blocks until all
-// have finished. It must only be called from the single coordinator
-// goroutine.
+// Round runs fn once for every shard, shard 0 on the calling goroutine, and
+// returns when all have finished. It must only be called from the single
+// coordinator goroutine.
 func (s *ShardSet) Round() {
 	s.joined.Store(0)
 	s.epoch.Add(1)
-	for s.joined.Load() != int64(s.n) {
+	s.fn(0)
+	for s.joined.Load() != int64(s.n-1) {
 		runtime.Gosched()
 	}
 }
 
-// Close terminates the workers. No Round may be issued afterwards.
-func (s *ShardSet) Close() { s.closing.Store(true) }
+// Close stops the workers and returns once they have exited. No Round may
+// be issued afterwards.
+func (s *ShardSet) Close() {
+	s.closing.Store(true)
+	s.exited.Wait()
+}

@@ -3,14 +3,21 @@
 // scheduler played in the paper's methodology: components schedule callbacks
 // at absolute simulated times and the engine executes them in time order.
 //
-// The engine is single-threaded and fully deterministic: events scheduled for
-// the same instant execute in scheduling order (FIFO), which makes runs
-// reproducible bit-for-bit given the same seed and configuration.
+// The engine is single-threaded and fully deterministic. Events execute in
+// the total order (at, lineage, token, seq): firing time, then causal
+// history (see Lineage), then a content-derived tie-break (see Token), then
+// scheduling order. In a serial run without tokens that is plain FIFO within
+// an instant, which makes runs reproducible bit-for-bit given the same seed
+// and configuration.
 //
 // The hot path is allocation-free in steady state. Pending events live in a
-// slab of reusable slots ordered by an index-based 4-ary heap (better cache
-// behavior than a binary heap: ~half the levels, and the four children of a
-// node share a cache line). Schedule hands out generation-counted Event
+// slab of reusable slots ordered by a 4-ary heap (better cache behavior than
+// a binary heap: ~half the levels, and the four children of a node share a
+// cache line). Each heap entry carries its event's firing time beside the
+// slot index, so a sift compares times without touching the slab and reads
+// a slot only on a tie. Lineages live in a slab of reference-counted
+// records: every child one event schedules shares a single record, so a
+// schedule copies no lineage. Schedule hands out generation-counted Event
 // handles — plain values, never heap-allocated — so Cancel on a stale handle
 // is detected instead of corrupting a recycled slot.
 package sim
@@ -46,7 +53,7 @@ const LineageDepth = 32
 // Lineage is the causal-history component of an event's ordering key:
 // Lineage[0] is the engine time the event was scheduled at (the classic
 // FIFO-within-instant key), Lineage[i] the schedule time of its i-th
-// ancestor. Events compare by (at, Lineage, seq).
+// ancestor. Events compare by (at, Lineage, Token, seq).
 //
 // Why history and not just the schedule time: two events on different shards
 // can carry the same (at, schedule time) — lockstep transfers over
@@ -91,18 +98,32 @@ func (t Token) Less(u Token) bool {
 
 // slot is one slab entry. A slot is recycled (through the free list) only
 // after its event fired or was cancelled; gen increments on every reuse so
-// stale handles can tell.
+// stale handles can tell. The firing time lives in the slot's heap entry.
 type slot struct {
-	at    Time
-	lin   Lineage // causal-history ordering key (see Lineage)
-	tok   Token   // content-derived residual tie-break (see Token)
+	tok   Token // content-derived residual tie-break (see Token)
 	seq   uint64
 	fn    func()
 	argFn func(any)
 	arg   any
+	lin   int32 // lineage record index (see linRec)
 	gen   uint32
 	state slotState
-	pos   int32 // heap position; -1 when not queued
+}
+
+// heapEntry is one element of the event heap: a pending slot and its firing
+// time, which settles almost every comparison on its own.
+type heapEntry struct {
+	at   Time
+	slot int32
+}
+
+// linRec is one entry of the lineage record slab. A record is shared by
+// reference: every pending slot holds one reference to its record, and the
+// engine holds one to the record of the event currently executing. A record
+// whose count drops to zero returns to the free list.
+type linRec struct {
+	lin  Lineage
+	refs int32
 }
 
 // Event is a generation-counted handle to a scheduled callback. It is a
@@ -160,18 +181,23 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	slots    []slot
-	heap     []int32 // slot indices ordered as a 4-ary min-heap on (at, lin, seq)
-	free     []int32 // recycled slot indices
+	pos      []int32     // heap position of each pending slot, indexed like slots
+	heap     []heapEntry // 4-ary min-heap on (at, lineage, token, seq)
+	free     []int32     // recycled slot indices
+	lins     []linRec    // lineage records (see linRec)
+	linFree  []int32     // recycled record indices
+	cur      int32       // record of the event currently executing (see CurrentLineage)
+	child    int32       // record of ChildLineage once built, else -1 (see childRec)
+	curTok   Token       // token of the event currently executing (see CurrentToken)
 	executed uint64
 	stopped  bool
-	maxTime  Time    // 0 means unbounded
-	curLin   Lineage // lineage of the event currently executing (see CurrentLineage)
-	curTok   Token   // token of the event currently executing (see CurrentToken)
+	maxTime  Time // 0 means unbounded
 }
 
-// New returns an empty engine at time zero.
+// New returns an empty engine at time zero. Record 0 holds the zero lineage,
+// the current record until the first event executes.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{lins: []linRec{{refs: 1}}, child: -1}
 }
 
 // Now returns the current simulated time.
@@ -187,42 +213,104 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // the current time, then the executing event's own lineage shifted one
 // generation down. This is also the key a cross-engine handoff must carry to
 // re-enter the order a direct schedule would have produced.
-func (e *Engine) ChildLineage() Lineage {
-	var l Lineage
-	l[0] = e.now
-	copy(l[1:], e.curLin[:LineageDepth-1])
+func (e *Engine) ChildLineage() (l Lineage) {
+	e.childInto(&l)
 	return l
 }
 
-// alloc claims a slot for an event at the given time and returns its index.
-func (e *Engine) alloc(at Time) int32 {
-	return e.allocKey(at, e.ChildLineage(), Token{})
+// childInto writes ChildLineage into l.
+func (e *Engine) childInto(l *Lineage) {
+	l[0] = e.now
+	copy(l[1:], e.lins[e.cur].lin[:LineageDepth-1])
 }
 
-// allocKey is alloc with an explicit (lineage, token) key. The lineage may
-// lie in the past (a cross-engine handoff backdating an arrival to its send
-// time); at may not.
-func (e *Engine) allocKey(at Time, lin Lineage, tok Token) int32 {
+// newRec claims a lineage record with no references; the caller fills it.
+func (e *Engine) newRec() int32 {
+	if n := len(e.linFree); n > 0 {
+		r := e.linFree[n-1]
+		e.linFree = e.linFree[:n-1]
+		return r
+	}
+	e.lins = append(e.lins, linRec{})
+	return int32(len(e.lins) - 1)
+}
+
+// dropRec releases one reference to record r.
+func (e *Engine) dropRec(r int32) {
+	rec := &e.lins[r]
+	if rec.refs--; rec.refs == 0 {
+		if r == e.child {
+			e.child = -1
+		}
+		e.linFree = append(e.linFree, r)
+	}
+}
+
+// childRec returns the record holding ChildLineage, building it on first
+// use. Every child of the executing event shares it, so it is valid until
+// the clock or the current record changes; whatever changes either resets
+// e.child. The cache holds no reference of its own: only alloc calls this,
+// and its slot takes the first reference at once. A record whose children
+// were all cancelled is freed, and dropRec forgets it.
+func (e *Engine) childRec() int32 {
+	if e.child < 0 {
+		r := e.newRec()
+		e.childInto(&e.lins[r].lin)
+		e.child = r
+	}
+	return e.child
+}
+
+// keyRec returns a fresh record holding lin, for the explicit-key paths.
+func (e *Engine) keyRec(lin *Lineage) int32 {
+	r := e.newRec()
+	e.lins[r].lin = *lin
+	return r
+}
+
+// checkAt panics when at lies in the past.
+func (e *Engine) checkAt(at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
+}
+
+// alloc claims a slot for a child of the executing event and returns its
+// index.
+func (e *Engine) alloc(at Time, tok Token) int32 {
+	e.checkAt(at)
+	return e.push(at, e.childRec(), tok)
+}
+
+// allocKey is alloc with an explicit lineage. The lineage may lie in the
+// past (a cross-engine handoff backdating an arrival to its send time); at
+// may not.
+func (e *Engine) allocKey(at Time, lin *Lineage, tok Token) int32 {
+	e.checkAt(at)
+	return e.push(at, e.keyRec(lin), tok)
+}
+
+// push fills a free slot with the key (at, record rec, tok, next seq) and
+// queues it. The slot takes a reference to rec.
+func (e *Engine) push(at Time, rec int32, tok Token) int32 {
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
 		e.slots = append(e.slots, slot{})
+		e.pos = append(e.pos, 0)
 		idx = int32(len(e.slots) - 1)
 	}
+	e.lins[rec].refs++
 	s := &e.slots[idx]
 	s.gen++
-	s.at = at
-	s.lin = lin
+	s.lin = rec
 	s.tok = tok
 	s.seq = e.seq
 	s.state = slotPending
 	e.seq++
-	e.heapPush(idx)
+	e.heapPush(heapEntry{at: at, slot: idx})
 	return idx
 }
 
@@ -232,7 +320,7 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	idx := e.alloc(at)
+	idx := e.alloc(at, Token{})
 	e.slots[idx].fn = fn
 	return Event{eng: e, slot: idx + 1, gen: e.slots[idx].gen, at: at}
 }
@@ -241,10 +329,15 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 // closure over arg, this allocates nothing when fn is a predeclared function
 // value and arg is a pointer — the hot-path form used by the packet fabric.
 func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) Event {
+	return e.scheduleArg(at, Token{}, fn, arg)
+}
+
+// scheduleArg is ScheduleArg with a residual-tie token.
+func (e *Engine) scheduleArg(at Time, tok Token, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	idx := e.alloc(at)
+	idx := e.alloc(at, tok)
 	s := &e.slots[idx]
 	s.argFn = fn
 	s.arg = arg
@@ -261,7 +354,7 @@ func (e *Engine) ScheduleLineage(at Time, lin Lineage, fn func()) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	idx := e.allocKey(at, lin, Token{})
+	idx := e.allocKey(at, &lin, Token{})
 	e.slots[idx].fn = fn
 	return Event{eng: e, slot: idx + 1, gen: e.slots[idx].gen, at: at}
 }
@@ -280,7 +373,7 @@ func (e *Engine) ScheduleArgKey(at Time, lin Lineage, tok Token, fn func(any), a
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	idx := e.allocKey(at, lin, tok)
+	idx := e.allocKey(at, &lin, tok)
 	s := &e.slots[idx]
 	s.argFn = fn
 	s.arg = arg
@@ -311,7 +404,7 @@ func (e *Engine) AfterArgToken(d Duration, tok Token, fn func(any), arg any) Eve
 	if d < 0 {
 		d = 0
 	}
-	return e.ScheduleArgKey(e.now.Add(d), e.ChildLineage(), tok, fn, arg)
+	return e.scheduleArg(e.now.Add(d), tok, fn, arg)
 }
 
 // Cancel removes a scheduled event. Cancelling the zero Event, an event that
@@ -326,7 +419,8 @@ func (e *Engine) Cancel(ev Event) {
 	if s.gen != ev.gen || s.state != slotPending {
 		return
 	}
-	e.heapRemove(s.pos)
+	e.heapRemove(int(e.pos[idx]))
+	e.dropRec(s.lin)
 	e.release(idx, slotCancelled)
 }
 
@@ -352,14 +446,18 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	idx := e.heap[0]
-	s := &e.slots[idx]
-	if e.maxTime != 0 && s.at > e.maxTime {
+	top := e.heap[0]
+	if e.maxTime != 0 && top.at > e.maxTime {
 		return false // out of time budget; leave it queued
 	}
 	e.heapPopRoot()
-	e.now = s.at
-	e.curLin = s.lin
+	idx := top.slot
+	s := &e.slots[idx]
+	e.now = top.at
+	// The slot's record reference passes to the engine.
+	e.dropRec(e.cur)
+	e.cur = s.lin
+	e.child = -1
 	e.curTok = s.tok
 	fn, argFn, arg := s.fn, s.argFn, s.arg
 	e.executed++
@@ -391,7 +489,7 @@ func (e *Engine) Run() Time {
 func (e *Engine) RunUntil(t Time) Time {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.heap) == 0 || e.slots[e.heap[0]].at > t {
+		if len(e.heap) == 0 || e.heap[0].at > t {
 			break
 		}
 		if !e.Step() {
@@ -400,6 +498,7 @@ func (e *Engine) RunUntil(t Time) Time {
 	}
 	if e.now < t {
 		e.now = t
+		e.child = -1
 	}
 	return e.now
 }
@@ -407,7 +506,7 @@ func (e *Engine) RunUntil(t Time) Time {
 // CurrentLineage returns the lineage of the event currently (or most
 // recently) executing. The sharded observer replay uses it to merge
 // per-shard observations back into the serial engine's order.
-func (e *Engine) CurrentLineage() Lineage { return e.curLin }
+func (e *Engine) CurrentLineage() Lineage { return e.lins[e.cur].lin }
 
 // CurrentToken returns the token of the event currently (or most recently)
 // executing, the residual-tie companion of CurrentLineage.
@@ -419,8 +518,9 @@ func (e *Engine) PeekKey() (at Time, lin Lineage, tok Token, ok bool) {
 	if len(e.heap) == 0 {
 		return 0, Lineage{}, Token{}, false
 	}
-	s := &e.slots[e.heap[0]]
-	return s.at, s.lin, s.tok, true
+	top := e.heap[0]
+	s := &e.slots[top.slot]
+	return top.at, e.lins[s.lin].lin, s.tok, true
 }
 
 // SetContext primes the scheduling context (current lineage and token)
@@ -429,7 +529,11 @@ func (e *Engine) PeekKey() (at Time, lin Lineage, tok Token, ok bool) {
 // shard engine derives the same child lineage a single serial engine would
 // have produced (where the control event IS the last event executed).
 func (e *Engine) SetContext(lin Lineage, tok Token) {
-	e.curLin = lin
+	r := e.keyRec(&lin)
+	e.lins[r].refs = 1
+	e.dropRec(e.cur)
+	e.cur = r
+	e.child = -1
 	e.curTok = tok
 }
 
@@ -442,11 +546,12 @@ func (e *Engine) SetNow(t Time) {
 		panic(fmt.Sprintf("sim: SetNow(%v) before now %v", t, e.now))
 	}
 	if len(e.heap) > 0 {
-		if head := e.slots[e.heap[0]].at; head < t {
+		if head := e.heap[0].at; head < t {
 			panic(fmt.Sprintf("sim: SetNow(%v) past pending event at %v", t, head))
 		}
 	}
 	e.now = t
+	e.child = -1
 }
 
 // RunWindow executes every pending event with timestamp strictly below
@@ -457,7 +562,7 @@ func (e *Engine) SetNow(t Time) {
 // timestamps below horizon execute in the same call.
 func (e *Engine) RunWindow(horizon Time) int {
 	n := 0
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at < horizon {
+	for len(e.heap) > 0 && e.heap[0].at < horizon {
 		if !e.Step() {
 			break
 		}
@@ -467,10 +572,11 @@ func (e *Engine) RunWindow(horizon Time) int {
 }
 
 // ----------------------------------------------------------------------
-// 4-ary index heap over the slot slab, ordered by (at, lineage, token, seq).
+// 4-ary heap of (at, slot) entries, ordered by (at, lineage, token, seq).
 
-// heapLess orders slots by firing time, then by causal lineage, then by
-// content token, then FIFO.
+// heapLess orders entries by firing time, then by causal lineage, then by
+// content token, then FIFO. The time is in the entry itself; the rest of
+// the key is read from the slab only on a tie.
 //
 // In a single-engine run (at, lineage, seq) orders identically to the
 // historical (at, seq), so serial runs are bit-for-bit unchanged. Proof
@@ -492,14 +598,24 @@ func (e *Engine) RunWindow(horizon Time) int {
 // traffic). For those the pre-token serial order was an accident of
 // scheduling order anyway; the token replaces it with a content-derived
 // order that serial and sharded runs compute identically.
-func (e *Engine) heapLess(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+func (e *Engine) heapLess(a, b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	for i := range sa.lin {
-		if sa.lin[i] != sb.lin[i] {
-			return sa.lin[i] < sb.lin[i]
+	return e.tieLess(a.slot, b.slot)
+}
+
+// tieLess orders two slots firing at the same time by (lineage, token,
+// seq). Siblings share a record, so equal record indices skip the lineage
+// walk.
+func (e *Engine) tieLess(a, b int32) bool {
+	sa, sb := &e.slots[a], &e.slots[b]
+	if sa.lin != sb.lin {
+		la, lb := &e.lins[sa.lin].lin, &e.lins[sb.lin].lin
+		for i := range la {
+			if la[i] != lb[i] {
+				return la[i] < lb[i]
+			}
 		}
 	}
 	if sa.tok != sb.tok {
@@ -508,87 +624,82 @@ func (e *Engine) heapLess(a, b int32) bool {
 	return sa.seq < sb.seq
 }
 
-// heapSet writes a slot index at a heap position, maintaining the back-link.
-func (e *Engine) heapSet(pos int, idx int32) {
-	e.heap[pos] = idx
-	e.slots[idx].pos = int32(pos)
+// heapPush appends an entry and restores the heap property.
+func (e *Engine) heapPush(x heapEntry) {
+	e.heap = append(e.heap, x)
+	e.siftUp(len(e.heap)-1, x)
 }
 
-// heapPush appends a slot and restores the heap property.
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.slots[idx].pos = int32(len(e.heap) - 1)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// heapPopRoot removes the minimum element.
+// heapPopRoot removes the minimum entry.
 func (e *Engine) heapPopRoot() {
 	last := len(e.heap) - 1
-	root := e.heap[0]
-	e.slots[root].pos = -1
-	if last == 0 {
-		e.heap = e.heap[:0]
-		return
-	}
-	e.heapSet(0, e.heap[last])
+	x := e.heap[last]
 	e.heap = e.heap[:last]
-	e.siftDown(0)
+	if last > 0 {
+		e.siftDown(0, x)
+	}
 }
 
-// heapRemove deletes the element at an arbitrary heap position.
-func (e *Engine) heapRemove(pos int32) {
-	p := int(pos)
+// heapRemove deletes the entry at heap position p.
+func (e *Engine) heapRemove(p int) {
 	last := len(e.heap) - 1
-	e.slots[e.heap[p]].pos = -1
+	x := e.heap[last]
+	e.heap = e.heap[:last]
 	if p == last {
-		e.heap = e.heap[:last]
 		return
 	}
-	moved := e.heap[last]
-	e.heap = e.heap[:last]
-	e.heapSet(p, moved)
-	e.siftUp(p)
-	e.siftDown(p)
+	if p > 0 && e.heapLess(x, e.heap[(p-1)>>2]) {
+		e.siftUp(p, x)
+	} else {
+		e.siftDown(p, x)
+	}
 }
 
-func (e *Engine) siftUp(i int) {
-	idx := e.heap[i]
+// siftUp places x, which belongs at or above position i, maintaining the
+// back-links of every entry it moves.
+func (e *Engine) siftUp(i int, x heapEntry) {
+	h := e.heap
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !e.heapLess(idx, e.heap[parent]) {
+		p := h[parent]
+		if !e.heapLess(x, p) {
 			break
 		}
-		e.heapSet(i, e.heap[parent])
+		h[i] = p
+		e.pos[p.slot] = int32(i)
 		i = parent
 	}
-	e.heapSet(i, idx)
+	h[i] = x
+	e.pos[x.slot] = int32(i)
 }
 
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	idx := e.heap[i]
+// siftDown places x, which belongs at or below position i, maintaining the
+// back-links of every entry it moves.
+func (e *Engine) siftDown(i int, x heapEntry) {
+	h := e.heap
+	n := len(h)
 	for {
 		first := i<<2 + 1
 		if first >= n {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if e.heapLess(e.heap[c], e.heap[best]) {
+			if e.heapLess(h[c], h[best]) {
 				best = c
 			}
 		}
-		if !e.heapLess(e.heap[best], idx) {
+		b := h[best]
+		if !e.heapLess(b, x) {
 			break
 		}
-		e.heapSet(i, e.heap[best])
+		h[i] = b
+		e.pos[b.slot] = int32(i)
 		i = best
 	}
-	e.heapSet(i, idx)
+	h[i] = x
+	e.pos[x.slot] = int32(i)
 }
 
 // ----------------------------------------------------------------------

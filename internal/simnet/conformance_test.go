@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -362,4 +363,29 @@ func TestDialNoListener(t *testing.T) {
 			t.Error("dial to silent port succeeded")
 		}
 	})
+}
+
+// TestNowAtSpawn: a tenant started from a control event sees that event's
+// virtual time, even when it reads the clock before the event settles — it
+// may run at once on another P. The event here waits for the read on
+// purpose, so the order is forced rather than left to the scheduler.
+func TestNowAtSpawn(t *testing.T) {
+	h := newHarness(t)
+	var read atomic.Bool
+	var seen atomic.Int64 // virtual time read by the tenant, ns past Epoch
+	h.c.Engine.Schedule(units.Time(units.Millisecond), func() {
+		h.n.Go(func() {
+			seen.Store(int64(h.n.Now().Sub(simnet.Epoch)))
+			read.Store(true)
+		})
+		for !read.Load() {
+			runtime.Gosched()
+		}
+		h.n.Settle()
+	})
+	h.n.Run(read.Load, 0)
+	h.n.Shutdown()
+	if got := time.Duration(seen.Load()); got != time.Millisecond {
+		t.Fatalf("tenant spawned at 1ms read Now = %v past Epoch", got)
+	}
 }

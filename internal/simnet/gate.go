@@ -32,15 +32,15 @@ import (
 	"repro/internal/units"
 )
 
-// quiesceRounds is how many consecutive scheduler yields the gate requires
-// without a version change before it considers the tenant world settled. The
-// gate cannot watch tenant goroutines directly — net/http parks its workers
-// on internal channels the gate never sees — so the settle condition is
-// behavioral: no unacknowledged wake, and no gate activity (publish, wake
-// acknowledgement, spawn) across this many yields. The count is deliberately
-// generous: a settle happens at most once per wake batch, so its cost is
-// noise next to the packet events it interleaves with.
-const quiesceRounds = 256
+// quiesceYields is how many consecutive scheduler yields without gate
+// activity the settle waits before it takes a goroutine snapshot. The yields
+// are only a fast path — with more than one P a tenant computing on another
+// P is invisible to them — so they are tuned to spare snapshots, not to be
+// sufficient: the snapshot (see confirm) is what decides. Measured on the
+// reduced httpload-facade bench cell (2-vCPU x86 container, two runs each):
+// 0 yields take ~68k snapshots and 35-36 s, 16 take 48k and 26-30 s, 64
+// take 45k and 24-27 s, 256 take 43k and 26-28 s.
+const quiesceYields = 64
 
 // opKind orders parked requests within one settle batch. The order is part
 // of the determinism contract: requests drained together raced in wall time,
@@ -98,8 +98,9 @@ const (
 
 // gate is the virtual-time rendezvous between tenant goroutines and the
 // control engine. All fields are guarded by mu except vnow (atomic, the
-// tenant-visible virtual clock) and the request fields of individual ops
-// (ordered by the park/wake handoff).
+// tenant-visible virtual clock), the request fields of individual ops
+// (ordered by the park/wake handoff), and the control-context snapshot
+// scratch.
 type gate struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -107,25 +108,49 @@ type gate struct {
 	reqs []*op // published, not yet drained by the control engine
 
 	// seq is the gate's version: it bumps on every publish, every wake
-	// acknowledgement, and every spawn or spawned-goroutine exit. The settle
-	// probe declares the world quiet only after it stays unchanged across
-	// quiesceRounds scheduler yields.
+	// acknowledgement, and every spawn, registration or spawned-goroutine
+	// exit.
 	seq uint64
 
 	// wakes counts delivered-but-unacknowledged wakes: the control engine
 	// incremented it before signalling a parked op, and the woken tenant
 	// decrements it as its first action. Nonzero means a woken goroutine has
-	// not yet been scheduled, so the world is definitely not settled; this is
-	// the gate's one hard wait.
+	// not yet been scheduled, so the world is definitely not settled.
 	wakes int
+
+	// starting counts spawned goroutines that have not yet recorded their
+	// goroutine id in tenants. A snapshot cannot attribute such a goroutine
+	// to this gate, so a settle waits for the count to reach zero.
+	starting int
+
+	// tenants maps the id of every tenant goroutine the gate knows of to the
+	// generation of the last snapshot that saw it alive (or the generation
+	// current when it registered). A snapshot adds every goroutine whose
+	// creator is a known tenant, so library goroutines — net/http's
+	// per-connection and transport loops — join the set the first time a
+	// snapshot sees them, and forgets ids absent from it (see confirm).
+	tenants map[uint64]uint64
+	gen     uint64
+
+	// settledAt is the gate version at the last confirmed settle. While the
+	// version still equals it nothing was published, woken, spawned or ended
+	// since, so every tenant is still blocked and quiesce has nothing to do.
+	// On the reduced httpload-facade bench cell this answers 24k of 67k
+	// settles without a snapshot (without it: ~70k snapshots, 37-41 s
+	// instead of 24-27 s).
+	settledAt uint64
 
 	shut bool
 
 	vnow atomic.Int64 // units.Time; see Net.Now
+
+	// Snapshot scratch, control context only.
+	dump []byte
+	gs   []gstate
 }
 
 func newGate() *gate {
-	g := &gate{}
+	g := &gate{tenants: make(map[uint64]uint64)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -139,12 +164,24 @@ func (g *gate) bump() {
 }
 
 // spawn launches fn on a tenant goroutine. It is the façade's one sanctioned
-// goroutine entry point (see the poolonly analyzer): both the spawn and the
-// goroutine's exit bump the gate version, so a settle probe that raced the
-// new goroutine restarts and gives it its scheduler turns.
+// goroutine entry point (see the poolonly analyzer). The goroutine records
+// its id as a tenant before running fn, so snapshots can attribute it and
+// everything it starts to this gate; a settle waits for that record, and
+// the goroutine's exit bumps the gate version.
 func (g *gate) spawn(fn func()) {
-	g.bump()
+	g.mu.Lock()
+	g.seq++
+	g.starting++
+	g.cond.Broadcast()
+	g.mu.Unlock()
 	go func() {
+		id := curGoroutineID()
+		g.mu.Lock()
+		g.tenants[id] = g.gen
+		g.starting--
+		g.seq++
+		g.cond.Broadcast()
+		g.mu.Unlock()
 		defer g.bump()
 		fn()
 	}()
@@ -184,41 +221,114 @@ func (g *gate) wake(o *op) {
 	close(o.done)
 }
 
-// quiesce blocks the control engine until the tenant world is settled: no
-// unacknowledged wake, and the gate version stable across quiesceRounds
-// scheduler yields — long enough for every runnable tenant goroutine
-// (including net/http internals the gate cannot track) to reach its next
-// façade operation or park for good.
+// quiesce blocks the control engine until the tenant world is settled:
+// every tenant goroutine — the ones spawned through the gate and every
+// goroutine they started, net/http internals included — is blocked on a
+// channel, lock or condition, with no wake or spawn outstanding. Blocked
+// tenants can be released only by the gate or by another tenant, so once
+// every one of them is blocked, none can act again until the engine wakes
+// one, and advancing virtual time is sound.
+//
+// Control context only, and never with mu held.
 func (g *gate) quiesce() {
 	for {
 		g.mu.Lock()
-		for g.wakes > 0 {
+		for g.wakes > 0 || g.starting > 0 {
 			g.cond.Wait()
 		}
 		seq := g.seq
+		if seq == g.settledAt {
+			g.mu.Unlock()
+			return
+		}
 		g.mu.Unlock()
 
-		settled := true
-		for stable := 0; stable < quiesceRounds; {
-			runtime.Gosched()
-			g.mu.Lock()
-			if g.wakes > 0 {
-				g.mu.Unlock()
-				settled = false
-				break
-			}
-			if g.seq != seq {
-				seq = g.seq
-				stable = 0
-			} else {
-				stable++
-			}
-			g.mu.Unlock()
-		}
-		if settled {
+		if seq, ok := g.yield(seq); ok && g.confirm(seq) {
 			return
 		}
 	}
+}
+
+// yield runs the scheduler until the gate version holds still for
+// quiesceYields consecutive yields and returns that version. It reports
+// false as soon as a wake or spawn is outstanding, and the caller starts
+// over.
+func (g *gate) yield(seq uint64) (uint64, bool) {
+	for stable := 0; stable < quiesceYields; {
+		runtime.Gosched()
+		g.mu.Lock()
+		busy := g.wakes > 0 || g.starting > 0
+		if g.seq != seq {
+			seq = g.seq
+			stable = 0
+		} else {
+			stable++
+		}
+		g.mu.Unlock()
+		if busy {
+			return 0, false
+		}
+	}
+	return seq, true
+}
+
+// confirm takes a snapshot of every goroutine in the process and reports
+// whether the tenant world was settled in it at gate version seq; if so it
+// records seq as settled. The snapshot stops the world, so it is a
+// consistent cut: a tenant that is runnable, running, or waiting on
+// something that ends by itself (a sleep, the garbage collector) fails it.
+//
+// Tenants are found by ancestry: the registered spawns, and every goroutine
+// whose creator is a known tenant. The snapshot must not be taken with mu
+// held, because a tenant waiting for mu would read as blocked.
+func (g *gate) confirm(seq uint64) bool {
+	g.mu.Lock()
+	g.gen++
+	gen := g.gen
+	g.mu.Unlock()
+
+	g.dump = snapshotGoroutines(g.dump)
+	g.gs = parseGoroutines(g.gs[:0], g.dump)
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	// Adopt the children of known tenants, to a fixed point: the dump lists
+	// goroutines in no particular order, and a tenant chain can be deep.
+	for grew := true; grew; {
+		grew = false
+		for _, s := range g.gs {
+			if _, ok := g.tenants[s.id]; ok {
+				continue
+			}
+			if _, ok := g.tenants[s.parent]; ok && s.parent != 0 {
+				g.tenants[s.id] = gen
+				grew = true
+			}
+		}
+	}
+	settled := true
+	for _, s := range g.gs {
+		if _, ok := g.tenants[s.id]; !ok {
+			continue
+		}
+		g.tenants[s.id] = gen
+		if !s.blocked {
+			settled = false
+		}
+	}
+	// Forget tenants that had exited by the snapshot. Every goroutine one of
+	// them started is either in this snapshot, and adopted above, or gone;
+	// ids registered since the snapshot began carry gen and stay.
+	for id, seen := range g.tenants {
+		if seen < gen {
+			delete(g.tenants, id)
+		}
+	}
+	if !settled || g.seq != seq || g.wakes > 0 || g.starting > 0 {
+		return false
+	}
+	g.settledAt = seq
+	return true
 }
 
 // drain removes and returns the published requests in canonical order.

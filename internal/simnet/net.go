@@ -166,7 +166,13 @@ func (n *Net) Listen(network, address string) (net.Listener, error) {
 // Go runs fn on a tenant goroutine. It is the sanctioned way to start tenant
 // code: the gate accounts for the spawn, so a settle in progress restarts
 // and the new goroutine gets its scheduler turns before the engine advances.
-func (n *Net) Go(fn func()) { n.gate.spawn(fn) }
+// The virtual clock is published first (see syncClock). Called from a tenant,
+// that rewrites the value the tenant already sees: tenants run only while
+// the engine is parked in a pump.
+func (n *Net) Go(fn func()) {
+	n.syncClock()
+	n.gate.spawn(fn)
+}
 
 // Sleep parks the calling tenant goroutine for d of virtual time. It returns
 // early with net.ErrClosed inside the error-free façade only after Shutdown.
@@ -240,7 +246,7 @@ func (n *Net) Shutdown() {
 // the published operations in canonical order, process them, and repeat
 // until a settle finds nothing new. Control context only.
 func (n *Net) pump() {
-	n.gate.vnow.Store(int64(n.ctrl.Now()))
+	n.syncClock()
 	for {
 		n.gate.quiesce()
 		reqs := n.gate.drain()
@@ -253,10 +259,17 @@ func (n *Net) pump() {
 	}
 }
 
+// syncClock publishes the control engine's time as the tenant-visible
+// clock. Every control event that can wake or start a tenant calls it
+// first: that tenant may run at once on another P and read Now, or wake
+// another tenant that does, before the event reaches its pump.
+func (n *Net) syncClock() { n.gate.vnow.Store(int64(n.ctrl.Now())) }
+
 // hop folds a conn's shard-context observations into its control-side
 // stream state, completes whatever parked operations became serviceable,
 // and pumps. It runs as a control event at observation time plus Lag.
 func (n *Net) hop(c *Conn) {
+	n.syncClock()
 	c.hopPending = false
 	if c.sConnected && !c.established {
 		c.established = true
@@ -622,6 +635,7 @@ func (n *Net) expireDeadline(c *Conn, at units.Time, which deadlineTarget) {
 	if c.closed {
 		return
 	}
+	n.syncClock()
 	woke := false
 	if which == deadlineRead && c.rdDeadline == at {
 		if r := c.reader; r != nil {
@@ -659,6 +673,7 @@ func (n *Net) processSleep(o *op) {
 			return
 		}
 		delete(n.sleepers, o)
+		n.syncClock()
 		n.gate.wake(o)
 		n.pump()
 	})
