@@ -325,6 +325,13 @@ type Cluster struct {
 	shardOf    []int // worker index -> shard id
 }
 
+// onBarrier is a sharded group's barrier hook: drain the cross-shard packet
+// lanes, then replay the shards' buffered deliveries in serial order.
+func (c *Cluster) onBarrier() {
+	c.Topo.Net.DrainCrossShard()
+	c.Metrics.ReplayDeliveries(c.shardViews)
+}
+
 // queueFactory builds the spec's switch qdisc for one port.
 func (s *Spec) queueFactory() topo.QdiscFactory {
 	capacity := s.Buffer.Packets()
@@ -509,10 +516,7 @@ func New(spec Spec) *Cluster {
 			c.shardViews[i] = col.ShardView(e)
 			tc.Net.SetShardObserver(i, hybridObs(i, c.shardViews[i]))
 		}
-		group.OnBarrier = func() {
-			tc.Net.DrainCrossShard()
-			col.ReplayDeliveries(c.shardViews)
-		}
+		group.OnBarrier = c.onBarrier
 	}
 
 	tcpCfg := tcp.DefaultConfig(spec.Transport)

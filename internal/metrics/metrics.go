@@ -117,6 +117,9 @@ type Collector struct {
 	// time windows for steady-state percentile series (P50/P99 per window).
 	// Off by default — the hot path pays only a nil test.
 	latWindows *stats.Windowed
+
+	// replayIdx is ReplayDeliveries' per-view cursor, kept across barriers.
+	replayIdx []int
 }
 
 // New creates an empty collector. If reservoir is > 0, per-packet latency

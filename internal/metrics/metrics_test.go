@@ -30,7 +30,7 @@ func port(t *testing.T) *netsim.Port {
 	n := netsim.New(eng)
 	a := n.NewHost("a")
 	b := n.NewHost("b")
-	return n.NewPort(a, b, netsim.LinkParams{Rate: units.Gbps, Delay: 0}, qdisc.NewDropTail(8))
+	return n.NewPort(a, b, netsim.LinkParams{Rate: units.Gbps, Delay: 0}, qdisc.NewDropTail(8), "a->b")
 }
 
 func TestVerdictCounting(t *testing.T) {

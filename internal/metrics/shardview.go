@@ -110,7 +110,11 @@ func (v *ShardView) PacketDelivered(now units.Time, p *packet.Packet) {
 // Called by the group coordinator at barriers, with all shard workers
 // parked.
 func (c *Collector) ReplayDeliveries(views []*ShardView) {
-	idx := make([]int, len(views))
+	if cap(c.replayIdx) < len(views) {
+		c.replayIdx = make([]int, len(views))
+	}
+	idx := c.replayIdx[:len(views)]
+	clear(idx)
 	for {
 		best := -1
 		for i, v := range views {

@@ -6,8 +6,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/qdisc"
@@ -216,16 +217,9 @@ func (n *Network) DrainCrossShard() {
 		}
 		// Stable sort on (at, lineage, token): appended src-major, so ties
 		// keep (source shard, emission order) — the deterministic drain
-		// order.
-		sort.SliceStable(buf, func(i, j int) bool {
-			if buf[i].at != buf[j].at {
-				return buf[i].at < buf[j].at
-			}
-			if buf[i].lin != buf[j].lin {
-				return buf[i].lin.Less(buf[j].lin)
-			}
-			return buf[i].tok.Less(buf[j].tok)
-		})
+		// order. slices.SortStableFunc swaps in place; sort.SliceStable's
+		// reflection swapper allocates an entry-sized temporary per call.
+		slices.SortStableFunc(buf, compareLane)
 		sh := n.shards[dst]
 		dstNow := sh.eng.Now()
 		for i := range buf {
@@ -241,6 +235,17 @@ func (n *Network) DrainCrossShard() {
 		}
 		n.drainBuf = buf[:0]
 	}
+}
+
+// compareLane orders two handoffs by (arrival time, lineage, token).
+func compareLane(a, b laneEntry) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := a.lin.Compare(b.lin); c != 0 {
+		return c
+	}
+	return a.tok.Compare(b.tok)
 }
 
 // PendingCrossShard reports whether any handoff lane holds undrained
@@ -375,8 +380,8 @@ func (p *Port) MarkHot(until units.Time) {
 }
 
 // NewPort wires an egress port from owner to peer with the given link
-// parameters and queue discipline.
-func (n *Network) NewPort(owner, peer Node, link LinkParams, q qdisc.Qdisc) *Port {
+// parameters, queue discipline and report label.
+func (n *Network) NewPort(owner, peer Node, link LinkParams, q qdisc.Qdisc, label string) *Port {
 	if err := link.Validate(); err != nil {
 		panic(err)
 	}
@@ -391,7 +396,7 @@ func (n *Network) NewPort(owner, peer Node, link LinkParams, q qdisc.Qdisc) *Por
 		peerSh: n.shardOf(peer),
 		link:   link,
 		queue:  q,
-		Label:  fmt.Sprintf("n%d->n%d", owner.ID(), peer.ID()),
+		Label:  label,
 	}
 	// Surface dequeue-time drops (CoDel) to the observer; they would
 	// otherwise be invisible, since the observer only sees enqueue
@@ -631,16 +636,6 @@ func (h *Host) Receive(pkt *packet.Packet) {
 	h.sh.pool.Put(pkt)
 }
 
-// routeEntry is one destination's route group. The single-next-hop case —
-// every port of a star or two-tier fabric — keeps `one` set and forwards
-// without hashing, so the pre-multipath hot path is unchanged. With two or
-// more candidates `one` is nil and the egress is picked by flow hash over
-// `many`.
-type routeEntry struct {
-	one  *Port
-	many []*Port
-}
-
 // FlowHash maps a (seed, 5-tuple) to a 64-bit value used for ECMP egress
 // selection. The simulated protocol field is always TCP, so the tuple
 // reduces to the two addresses. The mix is a splitmix64 finalizer: cheap,
@@ -658,11 +653,21 @@ func FlowHash(seed uint64, src, dst packet.Addr) uint64 {
 // destination node. A destination may have a group of candidate egresses
 // (ECMP); members of a group are resolved per flow by FlowHash, so one TCP
 // connection always takes one path (no intra-flow reordering).
+//
+// Routes are a dense table indexed by destination NodeID (node IDs are
+// sequential) holding an index into the switch's distinct candidate groups.
+// Each distinct candidate list is stored once, however many destinations
+// share it: a healthy leaf holds one group per local host and a single
+// spine group for every remote host. The table holds no pointers, so the
+// collector never scans it.
 type Switch struct {
 	id     packet.NodeID
 	net    *Network
 	sh     *Shard
-	routes map[packet.NodeID]routeEntry
+	route  []int32   // [dst] -> index into groups; 0 = unrouted
+	groups [][]*Port // distinct candidate lists; groups[0] is the unrouted nil
+	refs   []int32   // routes per group; a slot at zero refs is nil and free
+	last   int32     // the group installed last: consecutive routes share it
 	ports  []*Port
 
 	// Name is a human label, e.g. "tor0".
@@ -676,7 +681,7 @@ func (n *Network) NewSwitch(name string) *Switch {
 
 // NewSwitchOn registers a new switch on the given shard.
 func (n *Network) NewSwitchOn(shard int, name string) *Switch {
-	s := &Switch{net: n, sh: n.shards[shard], routes: make(map[packet.NodeID]routeEntry), Name: name}
+	s := &Switch{net: n, sh: n.shards[shard], groups: [][]*Port{nil}, refs: []int32{0}, Name: name}
 	s.id = n.register(s)
 	return s
 }
@@ -699,68 +704,117 @@ func (s *Switch) SetRoute(dst packet.NodeID, p *Port) {
 	if p == nil {
 		panic(fmt.Sprintf("netsim: switch %s: nil route to n%d", s.Name, dst))
 	}
-	s.routes[dst] = routeEntry{one: p}
+	s.SetRoutes(dst, p)
 }
 
 // SetRoutes installs a route group for dst: one or more candidate egress
-// ports resolved per flow by FlowHash. A 1-entry group is stored as a plain
-// single route (the fast path). Candidate order matters — it is part of the
-// deterministic hash-to-port mapping — so callers must present candidates in
-// a stable order.
+// ports resolved per flow by FlowHash. Candidate order matters — it is part
+// of the deterministic hash-to-port mapping — so callers must present
+// candidates in a stable order. Destinations given the same candidates in
+// the same order share one stored group.
 func (s *Switch) SetRoutes(dst packet.NodeID, ports ...*Port) {
-	switch len(ports) {
-	case 0:
+	if len(ports) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s: empty route group to n%d", s.Name, dst))
-	case 1:
-		s.SetRoute(dst, ports[0])
-	default:
-		for _, p := range ports {
-			if p == nil {
-				panic(fmt.Sprintf("netsim: switch %s: nil candidate in route group to n%d", s.Name, dst))
-			}
+	}
+	for _, p := range ports {
+		if p == nil {
+			panic(fmt.Sprintf("netsim: switch %s: nil candidate in route group to n%d", s.Name, dst))
 		}
-		s.routes[dst] = routeEntry{many: append([]*Port(nil), ports...)}
+	}
+	g := s.groupOf(ports)
+	if int(dst) >= len(s.route) {
+		s.route = append(s.route, make([]int32, int(dst)+1-len(s.route))...)
+	}
+	old := s.route[dst]
+	s.route[dst] = g
+	s.refs[g]++
+	s.release(old)
+}
+
+// groupOf returns the index of the stored group equal to ports, storing a
+// copy in the first free slot (or a new one) if there is none. Replaced
+// routes free their slots, so rebuilding the routes after a link failure
+// reuses slots instead of growing the table.
+func (s *Switch) groupOf(ports []*Port) int32 {
+	if slices.Equal(s.groups[s.last], ports) {
+		return s.last
+	}
+	free := int32(0)
+	for i := int32(1); i < int32(len(s.groups)); i++ {
+		switch g := s.groups[i]; {
+		case g == nil:
+			if free == 0 {
+				free = i
+			}
+		case slices.Equal(g, ports):
+			s.last = i
+			return i
+		}
+	}
+	if free == 0 {
+		free = int32(len(s.groups))
+		s.groups = append(s.groups, nil)
+		s.refs = append(s.refs, 0)
+	}
+	s.groups[free] = slices.Clone(ports)
+	s.last = free
+	return free
+}
+
+// release drops one route's reference to group g and frees the slot when
+// no route uses it any more.
+func (s *Switch) release(g int32) {
+	if g == 0 {
+		return
+	}
+	if s.refs[g]--; s.refs[g] == 0 {
+		s.groups[g] = nil
 	}
 }
 
 // ClearRoute removes any route or route group for dst.
-func (s *Switch) ClearRoute(dst packet.NodeID) { delete(s.routes, dst) }
+func (s *Switch) ClearRoute(dst packet.NodeID) {
+	if uint(dst) < uint(len(s.route)) {
+		s.release(s.route[dst])
+		s.route[dst] = 0
+	}
+}
+
+// group returns the candidate egresses for dst, or nil if it is unrouted.
+func (s *Switch) group(dst packet.NodeID) []*Port {
+	if uint(dst) >= uint(len(s.route)) {
+		return nil
+	}
+	return s.groups[s.route[dst]]
+}
+
+// RouteGroups returns the number of slots in the switch's group table:
+// the distinct candidate lists it stores, plus slots freed by route changes
+// and kept for reuse.
+func (s *Switch) RouteGroups() int { return len(s.groups) - 1 }
 
 // RouteFor returns the egress port for dst — the first candidate of a
 // multipath group — or nil.
 func (s *Switch) RouteFor(dst packet.NodeID) *Port {
-	e := s.routes[dst]
-	if e.one != nil {
-		return e.one
-	}
-	if len(e.many) > 0 {
-		return e.many[0]
+	if g := s.group(dst); g != nil {
+		return g[0]
 	}
 	return nil
 }
 
 // RoutesFor returns every candidate egress port for dst (nil if unrouted).
-// The returned slice is the switch's own; callers must not mutate it.
-func (s *Switch) RoutesFor(dst packet.NodeID) []*Port {
-	e := s.routes[dst]
-	if e.one != nil {
-		return []*Port{e.one}
-	}
-	return e.many
-}
+// The returned slice is the switch's own, shared by every destination with
+// the same candidates; callers must not mutate it.
+func (s *Switch) RoutesFor(dst packet.NodeID) []*Port { return s.group(dst) }
 
 // Receive implements Node: forward toward the destination, hashing the flow
 // over the candidate group when the destination is multipath.
 func (s *Switch) Receive(pkt *packet.Packet) {
-	e, ok := s.routes[pkt.Dst.Node]
-	if !ok {
+	g := s.group(pkt.Dst.Node)
+	if g == nil {
 		panic(fmt.Sprintf("netsim: switch %s has no route to n%d", s.Name, pkt.Dst.Node))
 	}
-	if e.one != nil {
-		e.one.Send(pkt)
-		return
-	}
-	p, primary := selectEgress(s.net.hashSeed, e.many, pkt.Src, pkt.Dst, s.sh.eng.Now())
+	p, primary := selectEgress(s.net.hashSeed, g, pkt.Src, pkt.Dst, s.sh.eng.Now())
 	if p != primary {
 		primary.rerouted++
 	}
@@ -775,8 +829,12 @@ func (s *Switch) Receive(pkt *packet.Packet) {
 // and candidates only ever come from the group itself, which the route
 // rebuild keeps free of failed links. With every candidate hot the primary
 // stands. Returns (pick, primary); a never-marked group costs one field
-// compare over the pre-notification hot path.
+// compare over the pre-notification hot path. A one-port group is its own
+// pick: there is nothing to hash over and no alternate to steer onto.
 func selectEgress(seed uint64, many []*Port, src, dst packet.Addr, now units.Time) (pick, primary *Port) {
+	if len(many) == 1 {
+		return many[0], many[0]
+	}
 	primary = many[FlowHash(seed, src, dst)%uint64(len(many))]
 	if !primary.hotAt(now) {
 		return primary, primary
@@ -825,17 +883,14 @@ func (n *Network) PathPorts(src, dst packet.Addr) []*Port {
 			}
 			return nil
 		}
-		e, routed := sw.routes[dst.Node]
-		if !routed {
+		g := sw.group(dst.Node)
+		if g == nil {
 			return nil
 		}
-		p := e.one
-		if p == nil {
-			// Mirror the congestion-aware reselection at the switch's own
-			// clock, so a flow-level model resolves the same egress the
-			// packet engine would forward on right now.
-			p, _ = selectEgress(n.hashSeed, e.many, src, dst, sw.sh.eng.Now())
-		}
+		// Mirror the congestion-aware reselection at the switch's own clock,
+		// so a flow-level model resolves the same egress the packet engine
+		// would forward on right now.
+		p, _ := selectEgress(n.hashSeed, g, src, dst, sw.sh.eng.Now())
 		path = append(path, p)
 		cur = p.peer
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/packet"
@@ -29,12 +30,17 @@ func (r *recorder) PacketDelivered(now units.Time, p *packet.Packet) {
 	r.times = append(r.times, now)
 }
 
+// newPort wires a port labelled "n<owner>->n<peer>".
+func newPort(n *Network, owner, peer Node, link LinkParams, q qdisc.Qdisc) *Port {
+	return n.NewPort(owner, peer, link, q, fmt.Sprintf("n%d->n%d", owner.ID(), peer.ID()))
+}
+
 // twoHosts wires A -> B directly with the given link and queue.
 func twoHosts(eng *sim.Engine, link LinkParams, q qdisc.Qdisc) (*Network, *Host, *Host, *sinkProto) {
 	n := New(eng)
 	a := n.NewHost("a")
 	b := n.NewHost("b")
-	a.AttachUplink(n.NewPort(a, b, link, q))
+	a.AttachUplink(newPort(n, a, b, link, q))
 	sink := &sinkProto{}
 	b.AttachProtocol(sink)
 	return n, a, b, sink
@@ -92,8 +98,8 @@ func TestHopStamping(t *testing.T) {
 	sw := n.NewSwitch("sw")
 	b := n.NewHost("b")
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
-	a.AttachUplink(n.NewPort(a, sw, link, qdisc.NewDropTail(10)))
-	down := n.NewPort(sw, b, link, qdisc.NewDropTail(10))
+	a.AttachUplink(newPort(n, a, sw, link, qdisc.NewDropTail(10)))
+	down := newPort(n, sw, b, link, qdisc.NewDropTail(10))
 	sw.AddPort(down)
 	sw.SetRoute(b.ID(), down)
 	sink := &sinkProto{}
@@ -119,8 +125,8 @@ func TestSwitchRoutesByDestination(t *testing.T) {
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
 	for i := range hosts {
 		hosts[i] = n.NewHost("h")
-		hosts[i].AttachUplink(n.NewPort(hosts[i], sw, link, qdisc.NewDropTail(10)))
-		down := n.NewPort(sw, hosts[i], link, qdisc.NewDropTail(10))
+		hosts[i].AttachUplink(newPort(n, hosts[i], sw, link, qdisc.NewDropTail(10)))
+		down := newPort(n, sw, hosts[i], link, qdisc.NewDropTail(10))
 		sw.AddPort(down)
 		sw.SetRoute(hosts[i].ID(), down)
 		sinks[i] = &sinkProto{}
@@ -143,7 +149,7 @@ func TestMisroutedPacketPanics(t *testing.T) {
 	b := n.NewHost("b")
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
 	// Wire a's uplink to b but address the packet to a third node id.
-	a.AttachUplink(n.NewPort(a, b, link, qdisc.NewDropTail(10)))
+	a.AttachUplink(newPort(n, a, b, link, qdisc.NewDropTail(10)))
 	p := mkPkt(n, a, b, 10)
 	p.Dst.Node = 99
 	a.Send(p)
@@ -161,7 +167,7 @@ func TestSwitchWithoutRoutePanics(t *testing.T) {
 	a := n.NewHost("a")
 	sw := n.NewSwitch("sw")
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
-	a.AttachUplink(n.NewPort(a, sw, link, qdisc.NewDropTail(10)))
+	a.AttachUplink(newPort(n, a, sw, link, qdisc.NewDropTail(10)))
 	p := mkPkt(n, a, a, 10)
 	p.Dst.Node = 42
 	a.Send(p)
@@ -287,7 +293,7 @@ func TestHeadDropperSurfacedToObserver(t *testing.T) {
 	cfg := qdisc.DefaultCoDelConfig(1000, 10*units.Microsecond)
 	cfg.ECN = true // non-ECT packets get dropped in the dropping state
 	q := qdisc.NewCoDel(cfg)
-	port := net.NewPort(a, bHost, LinkParams{Rate: 1 * units.Mbps, Delay: 0}, q)
+	port := newPort(net, a, bHost, LinkParams{Rate: 1 * units.Mbps, Delay: 0}, q)
 	a.AttachUplink(port)
 	bHost.AttachProtocol(&sinkProto{})
 	rec := &recorder{}
@@ -321,9 +327,9 @@ func ecmpPair(eng *sim.Engine, seed uint64) (*Network, *Host, *Host, *Switch, []
 	dst := n.NewHost("dst")
 	sw := n.NewSwitch("sw")
 	link := LinkParams{Rate: 10 * units.Gbps, Delay: units.Microsecond}
-	src.AttachUplink(n.NewPort(src, sw, link, qdisc.NewDropTail(100)))
-	p0 := n.NewPort(sw, dst, link, qdisc.NewDropTail(100))
-	p1 := n.NewPort(sw, dst, link, qdisc.NewDropTail(100))
+	src.AttachUplink(newPort(n, src, sw, link, qdisc.NewDropTail(100)))
+	p0 := newPort(n, sw, dst, link, qdisc.NewDropTail(100))
+	p1 := newPort(n, sw, dst, link, qdisc.NewDropTail(100))
 	sw.AddPort(p0)
 	sw.AddPort(p1)
 	sw.SetRoutes(dst.ID(), p0, p1)
@@ -392,9 +398,9 @@ func TestSingleRouteFastPathAndAccessors(t *testing.T) {
 	h := n.NewHost("h")
 	sw := n.NewSwitch("sw")
 	link := LinkParams{Rate: units.Gbps, Delay: 0}
-	p0 := n.NewPort(sw, h, link, qdisc.NewDropTail(10))
+	p0 := newPort(n, sw, h, link, qdisc.NewDropTail(10))
 	sw.AddPort(p0)
-	sw.SetRoutes(h.ID(), p0) // 1-entry group collapses to the single route
+	sw.SetRoutes(h.ID(), p0) // a 1-entry group forwards without hashing
 	if sw.RouteFor(h.ID()) != p0 {
 		t.Error("RouteFor lost the single candidate")
 	}
@@ -404,5 +410,95 @@ func TestSingleRouteFastPathAndAccessors(t *testing.T) {
 	sw.ClearRoute(h.ID())
 	if sw.RouteFor(h.ID()) != nil || sw.RoutesFor(h.ID()) != nil {
 		t.Error("ClearRoute left a route behind")
+	}
+}
+
+// routePanic forwards a packet for dst into sw and returns the panic it
+// raised ("" if none).
+func routePanic(t *testing.T, n *Network, sw *Switch, dst packet.NodeID) (msg string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	sw.Receive(&packet.Packet{ID: n.NewPacketID(), Dst: packet.Addr{Node: dst}})
+	return ""
+}
+
+func TestUnroutedDestinationPanicsWithItsID(t *testing.T) {
+	n := New(sim.New())
+	sw := n.NewSwitch("sw")
+	h := n.NewHost("h")
+	link := LinkParams{Rate: units.Gbps}
+	p := newPort(n, sw, h, link, qdisc.NewDropTail(10))
+	sw.SetRoute(h.ID(), p)
+	past := packet.NodeID(len(sw.route) + 5)
+	if got, want := routePanic(t, n, sw, past), fmt.Sprintf("netsim: switch sw has no route to n%d", past); got != want {
+		t.Errorf("past the table: panic %q, want %q", got, want)
+	}
+	sw.ClearRoute(h.ID())
+	if got, want := routePanic(t, n, sw, h.ID()), fmt.Sprintf("netsim: switch sw has no route to n%d", h.ID()); got != want {
+		t.Errorf("cleared route: panic %q, want %q", got, want)
+	}
+	if got := routePanic(t, n, sw, -1); got != "netsim: switch sw has no route to n-1" {
+		t.Errorf("negative id: panic %q", got)
+	}
+}
+
+func TestRouteGroupsAreSharedAndSlotsReused(t *testing.T) {
+	n := New(sim.New())
+	sw := n.NewSwitch("sw")
+	link := LinkParams{Rate: units.Gbps}
+	var dsts []*Host
+	var ports []*Port
+	for i := 0; i < 4; i++ {
+		h := n.NewHost(fmt.Sprintf("h%d", i))
+		dsts = append(dsts, h)
+		ports = append(ports, newPort(n, sw, h, link, qdisc.NewDropTail(10)))
+	}
+	// Every destination gets the same two candidates, in one order.
+	for _, h := range dsts {
+		sw.SetRoutes(h.ID(), ports[0], ports[1])
+	}
+	first := sw.RoutesFor(dsts[0].ID())
+	for _, h := range dsts[1:] {
+		if got := sw.RoutesFor(h.ID()); &got[0] != &first[0] || len(got) != 2 {
+			t.Fatalf("n%d holds its own copy of the group", h.ID())
+		}
+	}
+	if sw.RouteGroups() != 1 {
+		t.Fatalf("RouteGroups = %d after one distinct group, want 1", sw.RouteGroups())
+	}
+	// The reverse order is a different hash mapping, so a different group.
+	sw.SetRoutes(dsts[3].ID(), ports[1], ports[0])
+	if got := sw.RoutesFor(dsts[3].ID()); got[0] != ports[1] || got[1] != ports[0] {
+		t.Fatalf("reordered group = %v", got)
+	}
+	if sw.RouteGroups() != 2 {
+		t.Fatalf("RouteGroups = %d, want 2", sw.RouteGroups())
+	}
+	// Flip every route between two groups many times: replaced groups free
+	// their slots, so the table stays at its high-water mark.
+	for round := 0; round < 10; round++ {
+		for _, h := range dsts {
+			sw.SetRoutes(h.ID(), ports[2], ports[3])
+		}
+		for _, h := range dsts {
+			sw.SetRoute(h.ID(), ports[0])
+		}
+	}
+	if sw.RouteGroups() > 3 {
+		t.Errorf("RouteGroups = %d after repeated rebuilds, want <= 3", sw.RouteGroups())
+	}
+	if got := sw.RoutesFor(dsts[2].ID()); len(got) != 1 || got[0] != ports[0] {
+		t.Errorf("final route = %v", got)
+	}
+	// The caller's slice is copied, never aliased.
+	cands := []*Port{ports[2], ports[3]}
+	sw.SetRoutes(dsts[0].ID(), cands...)
+	cands[0] = ports[0]
+	if got := sw.RoutesFor(dsts[0].ID()); got[0] != ports[2] {
+		t.Error("SetRoutes aliased the caller's candidate slice")
 	}
 }

@@ -56,7 +56,7 @@ func (c *CoDelConfig) Validate() error {
 // based), per the reference algorithm.
 type CoDel struct {
 	cfg CoDelConfig
-	q   *fifo
+	q   fifo
 
 	dropping       bool
 	dropNext       units.Time

@@ -9,7 +9,7 @@ import (
 // physical buffer is full, then drops arrivals. It is the baseline every
 // result in the paper is normalized against.
 type DropTail struct {
-	q        *fifo
+	q        fifo
 	capacity int // packets
 }
 

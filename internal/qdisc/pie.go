@@ -75,7 +75,7 @@ func (c *PIEConfig) Validate() error {
 // discrete-event simulation is equivalent to a timer at much lower cost.
 type PIE struct {
 	cfg  PIEConfig
-	q    *fifo
+	q    fifo
 	rand *rng.Source
 
 	prob       float64

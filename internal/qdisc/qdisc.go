@@ -79,18 +79,19 @@ type Qdisc interface {
 }
 
 // fifo is the packet buffer shared by all disciplines: a growable ring.
+// The ring is allocated at the capacity hint on the first push, so a port
+// that never queues a packet — most ports of a large fabric whose bytes
+// move as fluid — never holds one.
 type fifo struct {
 	buf   []*packet.Packet
+	hint  int
 	head  int
 	count int
 	bytes units.ByteSize
 }
 
-func newFIFO(capacityHint int) *fifo {
-	if capacityHint < 8 {
-		capacityHint = 8
-	}
-	return &fifo{buf: make([]*packet.Packet, capacityHint)}
+func newFIFO(capacityHint int) fifo {
+	return fifo{hint: max(capacityHint, 8)}
 }
 
 func (f *fifo) push(p *packet.Packet) {
@@ -122,7 +123,7 @@ func (f *fifo) peek() *packet.Packet {
 }
 
 func (f *fifo) grow() {
-	nb := make([]*packet.Packet, 2*len(f.buf))
+	nb := make([]*packet.Packet, max(2*len(f.buf), f.hint))
 	for i := 0; i < f.count; i++ {
 		nb[i] = f.buf[(f.head+i)%len(f.buf)]
 	}

@@ -250,3 +250,117 @@ func TestPIEConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// everyKind builds queues of each discipline with a 16-packet buffer.
+var everyKind = map[string]func() Qdisc{
+	"droptail":   func() Qdisc { return NewDropTail(16) },
+	"red":        func() Qdisc { return NewRED(REDForTargetDelay(16, units.Gbps, 100*units.Microsecond)) },
+	"simplemark": func() Qdisc { return NewSimpleMark(16, 4) },
+	"codel":      func() Qdisc { return NewCoDel(DefaultCoDelConfig(16, 500*units.Microsecond)) },
+	"pie":        func() Qdisc { return NewPIE(DefaultPIEConfig(16, units.Gbps, 500*units.Microsecond)) },
+}
+
+// ringOf exposes a discipline's packet buffer.
+func ringOf(q Qdisc) *fifo {
+	switch q := q.(type) {
+	case *DropTail:
+		return &q.q
+	case *RED:
+		return &q.q
+	case *SimpleMark:
+		return &q.q
+	case *CoDel:
+		return &q.q
+	case *PIE:
+		return &q.q
+	}
+	panic("ringOf: unknown discipline")
+}
+
+func TestUnusedQueueHoldsNoRing(t *testing.T) {
+	for name, mk := range everyKind {
+		q := mk()
+		if ringOf(q).buf != nil {
+			t.Errorf("%s: ring allocated before the first enqueue", name)
+		}
+		if q.Peek() != nil || q.Dequeue(0) != nil || q.Len() != 0 || q.BytesQueued() != 0 {
+			t.Errorf("%s: never-used queue is not empty", name)
+		}
+		if s, ok := q.(Snapshotter); ok && len(s.Snapshot()) != 0 {
+			t.Errorf("%s: never-used queue has a non-empty snapshot", name)
+		}
+		if ringOf(q).buf != nil {
+			t.Errorf("%s: reading an empty queue allocated its ring", name)
+		}
+		q.Enqueue(0, mkData(1))
+		if got := len(ringOf(q).buf); got != 16 {
+			t.Errorf("%s: first enqueue allocated a %d-slot ring, want the 16-packet buffer", name, got)
+		}
+	}
+}
+
+func TestFirstEnqueueIsTheOnlyAllocation(t *testing.T) {
+	const runs = 50
+	for name, mk := range everyKind {
+		fresh := make([]Qdisc, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range fresh {
+			fresh[i] = mk()
+		}
+		pkts := make([]*packet.Packet, 2*(runs+1))
+		for i := range pkts {
+			pkts[i] = mkData(uint64(i))
+		}
+		i := 0
+		first := testing.AllocsPerRun(runs, func() {
+			fresh[i].Enqueue(0, pkts[i])
+			i++
+		})
+		if first != 1 {
+			t.Errorf("%s: first enqueue made %v allocations, want 1", name, first)
+		}
+		q := fresh[0]
+		now := units.Time(0)
+		steady := testing.AllocsPerRun(runs, func() {
+			now += units.Time(units.Microsecond)
+			q.Enqueue(now, pkts[runs+1])
+			q.Dequeue(now)
+		})
+		if steady != 0 {
+			t.Errorf("%s: enqueue+dequeue on a used queue made %v allocations, want 0", name, steady)
+		}
+	}
+}
+
+func TestFIFOWrapsAndGrowsPastHint(t *testing.T) {
+	f := newFIFO(8)
+	next, expect := uint64(0), uint64(0)
+	push := func(n int) {
+		for ; n > 0; n-- {
+			f.push(mkData(next))
+			next++
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			p := f.pop()
+			if p == nil || p.ID != expect {
+				t.Fatalf("pop: got %v, want packet %d", p, expect)
+			}
+			expect++
+		}
+	}
+	push(6)
+	pop(4)
+	push(6) // the tail wraps past the end of the 8-slot ring
+	if len(f.buf) != 8 || f.head == 0 {
+		t.Fatalf("ring len %d head %d, want a wrapped 8-slot ring", len(f.buf), f.head)
+	}
+	push(20) // grows past the hint while wrapped
+	if len(f.buf) < 28 {
+		t.Fatalf("ring len %d holds %d packets", len(f.buf), f.count)
+	}
+	pop(28)
+	if f.pop() != nil || f.count != 0 || f.bytes != 0 {
+		t.Errorf("drained ring: count %d bytes %d", f.count, f.bytes)
+	}
+}

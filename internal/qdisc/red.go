@@ -157,7 +157,7 @@ func (c *REDConfig) Validate() error {
 // average.
 type RED struct {
 	cfg  REDConfig
-	q    *fifo
+	q    fifo
 	rand *rng.Source
 
 	avg       float64 // EWMA of queue length (packets or bytes per ByteMode)

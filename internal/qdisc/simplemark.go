@@ -14,7 +14,7 @@ import (
 // Nothing is ever dropped early — drops happen only when the physical buffer
 // overflows, exactly as in DropTail.
 type SimpleMark struct {
-	q              *fifo
+	q              fifo
 	capacity       int
 	threshold      int // K, in packets
 	byteMode       bool

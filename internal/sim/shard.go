@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/pool"
 )
@@ -144,7 +145,10 @@ func (g *Group) ScheduleControl(shard int, at Time, lin Lineage, fn func()) {
 }
 
 // flushCtrl moves buffered control registrations onto the control engine in
-// deterministic (at, lineage, shard, arrival) order.
+// deterministic (at, lineage, shard, arrival) order: a stable sort of the
+// boxes appended in shard order. slices.SortStableFunc swaps in place;
+// sort.SliceStable's reflection swapper allocates an entry-sized temporary
+// per call.
 func (g *Group) flushCtrl() {
 	buf := g.flushBuf[:0]
 	for _, box := range g.ctrlBox {
@@ -157,17 +161,20 @@ func (g *Group) flushCtrl() {
 	for i := range g.ctrlBox {
 		g.ctrlBox[i] = g.ctrlBox[i][:0]
 	}
-	sort.SliceStable(buf, func(i, j int) bool {
-		if buf[i].at != buf[j].at {
-			return buf[i].at < buf[j].at
-		}
-		return buf[i].lin.Less(buf[j].lin)
-	})
+	slices.SortStableFunc(buf, compareCtrl)
 	for i := range buf {
 		g.ctrl.ScheduleLineage(buf[i].at, buf[i].lin, buf[i].fn)
 		buf[i].fn = nil
 	}
 	g.flushBuf = buf[:0]
+}
+
+// compareCtrl orders two control registrations by (at, lineage).
+func compareCtrl(a, b ctrlEntry) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return a.lin.Compare(b.lin)
 }
 
 // keyLess orders two (lineage, token) key tails lexicographically.

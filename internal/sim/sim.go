@@ -23,6 +23,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/units"
@@ -75,6 +76,16 @@ func (l Lineage) Less(m Lineage) bool {
 	return false
 }
 
+// Compare returns -1, 0 or +1 as l sorts before, with or after m.
+func (l Lineage) Compare(m Lineage) int {
+	for i := range l {
+		if l[i] != m[i] {
+			return cmp.Compare(l[i], m[i])
+		}
+	}
+	return 0
+}
+
 // Token is the content-derived tie-break of an event's ordering key,
 // compared after the lineage and before the engine-local seq. It exists for
 // the ties lineage cannot resolve: two phase-locked periodic event chains
@@ -94,6 +105,14 @@ func (t Token) Less(u Token) bool {
 		return t[0] < u[0]
 	}
 	return t[1] < u[1]
+}
+
+// Compare returns -1, 0 or +1 as t sorts before, with or after u.
+func (t Token) Compare(u Token) int {
+	if t[0] != u[0] {
+		return cmp.Compare(t[0], u[0])
+	}
+	return cmp.Compare(t[1], u[1])
 }
 
 // slot is one slab entry. A slot is recycled (through the free list) only

@@ -365,3 +365,44 @@ func TestManyEventsStress(t *testing.T) {
 		t.Errorf("last event at %v", last)
 	}
 }
+
+// TestCompareAgreesWithLess checks the three-way key comparisons the
+// barrier sorts use against Less and ==, over keys that tie on long
+// prefixes.
+func TestCompareAgreesWithLess(t *testing.T) {
+	var ls []Lineage
+	for _, d := range []int{0, 1, LineageDepth - 1} {
+		for v := Time(0); v < 3; v++ {
+			var l Lineage
+			l[d] = v
+			ls = append(ls, l)
+		}
+	}
+	for _, a := range ls {
+		for _, b := range ls {
+			want := 0
+			if a.Less(b) {
+				want = -1
+			} else if a != b {
+				want = 1
+			}
+			if got := a.Compare(b); got != want {
+				t.Errorf("Lineage.Compare = %d, want %d", got, want)
+			}
+		}
+	}
+	toks := []Token{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	for _, a := range toks {
+		for _, b := range toks {
+			want := 0
+			if a.Less(b) {
+				want = -1
+			} else if a != b {
+				want = 1
+			}
+			if got := a.Compare(b); got != want {
+				t.Errorf("Token%v.Compare(%v) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}

@@ -333,11 +333,10 @@ func buildStar(eng *sim.Engine, cfg Config) *Cluster {
 	link := netsim.LinkParams{Rate: cfg.LinkRate, Delay: cfg.LinkDelay}
 	for i := 0; i < cfg.Nodes; i++ {
 		h := net.NewHost(fmt.Sprintf("node%02d", i))
-		up := net.NewPort(h, sw, link, hostQueue(cfg, h.Name+"->sw0"))
-		up.Label = h.Name + "->sw0"
-		h.AttachUplink(up)
-		down := net.NewPort(sw, h, link, cfg.SwitchQueue("sw0->"+h.Name, cfg.LinkRate))
-		down.Label = "sw0->" + h.Name
+		upLabel := h.Name + "->sw0"
+		h.AttachUplink(net.NewPort(h, sw, link, hostQueue(cfg, upLabel), upLabel))
+		downLabel := "sw0->" + h.Name
+		down := net.NewPort(sw, h, link, cfg.SwitchQueue(downLabel, cfg.LinkRate), downLabel)
 		sw.AddPort(down)
 		sw.SetRoute(h.ID(), down)
 		cl.Hosts = append(cl.Hosts, h)
@@ -365,13 +364,11 @@ func buildTwoTier(eng *sim.Engine, cfg Config) *Cluster {
 		tor := net.NewSwitch(fmt.Sprintf("tor%d", r))
 		cl.Switches = append(cl.Switches, tor)
 		// ToR <-> agg.
-		upLabel := fmt.Sprintf("%s->agg0", tor.Name)
-		up := net.NewPort(tor, agg, core, cfg.SwitchQueue(upLabel, coreRate))
-		up.Label = upLabel
+		upLabel := tor.Name + "->agg0"
+		up := net.NewPort(tor, agg, core, cfg.SwitchQueue(upLabel, coreRate), upLabel)
 		tor.AddPort(up)
-		downLabel := fmt.Sprintf("agg0->%s", tor.Name)
-		down := net.NewPort(agg, tor, core, cfg.SwitchQueue(downLabel, coreRate))
-		down.Label = downLabel
+		downLabel := "agg0->" + tor.Name
+		down := net.NewPort(agg, tor, core, cfg.SwitchQueue(downLabel, coreRate), downLabel)
 		agg.AddPort(down)
 		cl.CorePorts = append(cl.CorePorts, up, down)
 		cl.UpPorts = append(cl.UpPorts, up)
@@ -383,11 +380,10 @@ func buildTwoTier(eng *sim.Engine, cfg Config) *Cluster {
 		rackHosts := make([]*netsim.Host, 0, perRack)
 		for i := 0; i < perRack; i++ {
 			h := net.NewHost(fmt.Sprintf("node%02d", r*perRack+i))
-			hup := net.NewPort(h, tor, edge, hostQueue(cfg, h.Name+"->"+tor.Name))
-			hup.Label = h.Name + "->" + tor.Name
-			h.AttachUplink(hup)
-			hdown := net.NewPort(tor, h, edge, cfg.SwitchQueue(tor.Name+"->"+h.Name, cfg.LinkRate))
-			hdown.Label = tor.Name + "->" + h.Name
+			hupLabel := h.Name + "->" + tor.Name
+			h.AttachUplink(net.NewPort(h, tor, edge, hostQueue(cfg, hupLabel), hupLabel))
+			hdownLabel := tor.Name + "->" + h.Name
+			hdown := net.NewPort(tor, h, edge, cfg.SwitchQueue(hdownLabel, cfg.LinkRate), hdownLabel)
 			tor.AddPort(hdown)
 			tor.SetRoute(h.ID(), hdown)
 			agg.SetRoute(h.ID(), down)
@@ -433,12 +429,13 @@ type leafSpineState struct {
 // error — without installing a partial state on the affected destination —
 // if some leaf pair has no surviving spine.
 func (st *leafSpineState) rebuildRoutes() error {
+	var cands []*netsim.Port // reused: SetRoutes stores its own copy
 	for li, leaf := range st.leaves {
 		for di, dstHosts := range st.hosts {
 			if di == li {
 				continue
 			}
-			var cands []*netsim.Port
+			cands = cands[:0]
 			for si := range st.spines {
 				if st.link[li][si].failed || st.link[di][si].failed {
 					continue
@@ -515,13 +512,11 @@ func buildLeafSpine(net *netsim.Network, cfg Config) *Cluster {
 			if sp.Shard() != leaf.Shard() && (cl.Lookahead == 0 || core.Delay < cl.Lookahead) {
 				cl.Lookahead = core.Delay
 			}
-			upLabel := fmt.Sprintf("%s->%s", leaf.Name, sp.Name)
-			up := net.NewPort(leaf, sp, core, cfg.SwitchQueue(upLabel, coreRate))
-			up.Label = upLabel
+			upLabel := leaf.Name + "->" + sp.Name
+			up := net.NewPort(leaf, sp, core, cfg.SwitchQueue(upLabel, coreRate), upLabel)
 			leaf.AddPort(up)
-			downLabel := fmt.Sprintf("%s->%s", sp.Name, leaf.Name)
-			down := net.NewPort(sp, leaf, core, cfg.SwitchQueue(downLabel, coreRate))
-			down.Label = downLabel
+			downLabel := sp.Name + "->" + leaf.Name
+			down := net.NewPort(sp, leaf, core, cfg.SwitchQueue(downLabel, coreRate), downLabel)
 			sp.AddPort(down)
 			st.up[r][s], st.down[s][r] = up, down
 			st.link[r][s] = &fabricLink{
@@ -536,11 +531,10 @@ func buildLeafSpine(net *netsim.Network, cfg Config) *Cluster {
 		// Hosts under the leaf; intra-rack routes are final here.
 		for i := 0; i < perRack; i++ {
 			h := net.NewHostOn(rackShard, fmt.Sprintf("node%02d", r*perRack+i))
-			hup := net.NewPort(h, leaf, edge, hostQueue(cfg, h.Name+"->"+leaf.Name))
-			hup.Label = h.Name + "->" + leaf.Name
-			h.AttachUplink(hup)
-			hdown := net.NewPort(leaf, h, edge, cfg.SwitchQueue(leaf.Name+"->"+h.Name, cfg.LinkRate))
-			hdown.Label = leaf.Name + "->" + h.Name
+			hupLabel := h.Name + "->" + leaf.Name
+			h.AttachUplink(net.NewPort(h, leaf, edge, hostQueue(cfg, hupLabel), hupLabel))
+			hdownLabel := leaf.Name + "->" + h.Name
+			hdown := net.NewPort(leaf, h, edge, cfg.SwitchQueue(hdownLabel, cfg.LinkRate), hdownLabel)
 			leaf.AddPort(hdown)
 			leaf.SetRoute(h.ID(), hdown)
 			cl.Hosts = append(cl.Hosts, h)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -513,5 +514,123 @@ func TestSpinePathsSurvive(t *testing.T) {
 	a, b, ok := SpinePathsSurvive(4, 2, map[[2]int]bool{{0, 0}: true, {1, 1}: true})
 	if ok || a != 0 || b != 1 {
 		t.Errorf("partition not detected: leaves %d,%d ok=%v", a, b, ok)
+	}
+}
+
+// rackHosts returns the hosts under leaf r.
+func rackHosts(cl *Cluster, r int) []*netsim.Host {
+	per := len(cl.Hosts) / len(cl.Leaves)
+	return cl.Hosts[r*per : (r+1)*per]
+}
+
+// upPort returns the leaf l -> spine s egress.
+func upPort(cl *Cluster, l, s int) *netsim.Port { return cl.UpPorts[l*len(cl.Spines)+s] }
+
+// checkSpineGroup asserts that leaf l routes every host under leaf d over
+// one shared candidate slice holding exactly the uplinks to spines, in
+// spine order.
+func checkSpineGroup(t *testing.T, cl *Cluster, l, d int, spines ...int) {
+	t.Helper()
+	leaf := cl.Leaves[l]
+	first := leaf.RoutesFor(rackHosts(cl, d)[0].ID())
+	if len(first) != len(spines) {
+		t.Errorf("leaf%d -> leaf%d: %d candidates, want spines %v", l, d, len(first), spines)
+		return
+	}
+	for i, s := range spines {
+		if first[i] != upPort(cl, l, s) {
+			t.Errorf("leaf%d -> leaf%d: candidate %d is %s, want leaf%d->spine%d", l, d, i, first[i].Label, l, s)
+		}
+	}
+	for _, h := range rackHosts(cl, d) {
+		if got := leaf.RoutesFor(h.ID()); len(got) != len(first) || &got[0] != &first[0] {
+			t.Errorf("leaf%d -> %s: not the shared group", l, h.Name)
+		}
+	}
+}
+
+func TestLeafSpineRemoteDestinationsShareOneGroup(t *testing.T) {
+	cl := Build(sim.New(), leafSpineConfig(32, 4, 4))
+	for l := range cl.Leaves {
+		var shared []*netsim.Port
+		for d := range cl.Leaves {
+			if d == l {
+				continue
+			}
+			checkSpineGroup(t, cl, l, d, 0, 1, 2, 3)
+			g := cl.Leaves[l].RoutesFor(rackHosts(cl, d)[0].ID())
+			if shared == nil {
+				shared = g
+			} else if &g[0] != &shared[0] {
+				t.Errorf("leaf%d stores a separate spine group for leaf%d", l, d)
+			}
+		}
+		// 8 local host ports plus one spine group.
+		if got := cl.Leaves[l].RouteGroups(); got != 9 {
+			t.Errorf("leaf%d holds %d route groups, want 9", l, got)
+		}
+	}
+}
+
+func TestLeafSpineGroupsFollowFailureAndRollback(t *testing.T) {
+	cl := Build(sim.New(), leafSpineConfig(6, 3, 2))
+	if err := cl.FailLink("leaf2", "spine0"); err != nil {
+		t.Fatal(err)
+	}
+	survivors := func(when string) {
+		t.Helper()
+		checkSpineGroup(t, cl, 0, 1, 0, 1)
+		checkSpineGroup(t, cl, 0, 2, 1)
+		checkSpineGroup(t, cl, 1, 0, 0, 1)
+		checkSpineGroup(t, cl, 1, 2, 1)
+		checkSpineGroup(t, cl, 2, 0, 1)
+		checkSpineGroup(t, cl, 2, 1, 1)
+		for _, h := range rackHosts(cl, 2) {
+			if cl.Spines[0].RoutesFor(h.ID()) != nil {
+				t.Errorf("%s: spine0 still routes to %s over the failed link", when, h.Name)
+			}
+		}
+	}
+	survivors("after FailLink")
+
+	// leaf1<->spine1 would leave leaf1 (spine0 only) and leaf2 (spine1
+	// only) without a common spine. The rebuild installs leaf0's and part of
+	// leaf1's groups before it finds that, then rolls back.
+	tableSize := func() []int {
+		var n []int
+		for _, sw := range cl.Switches {
+			n = append(n, sw.RouteGroups())
+		}
+		return n
+	}
+	var first []int
+	for i := 0; i < 5; i++ {
+		if err := cl.FailLink("leaf1", "spine1"); err == nil {
+			t.Fatal("partitioning failure accepted")
+		}
+		survivors("after rollback")
+		if first == nil {
+			first = tableSize()
+			continue
+		}
+		if got := tableSize(); !slices.Equal(got, first) {
+			t.Fatalf("rollback %d: group tables grew from %v to %v", i, first, got)
+		}
+	}
+}
+
+// BenchmarkLeafSpineBuild builds the macroscale fabric: 4096 hosts under 128
+// leaves and 8 spines, a RED queue with a 1 MiB buffer on every port (host
+// uplinks too, as cluster.New builds it). Run it with -benchmem to follow
+// the build's allocations.
+func BenchmarkLeafSpineBuild(b *testing.B) {
+	cfg := leafSpineConfig(4096, 128, 8)
+	red := func(label string, rate units.Bandwidth) qdisc.Qdisc {
+		return qdisc.NewRED(qdisc.REDForTargetDelay(int(units.MiB/1500), rate, 500*units.Microsecond))
+	}
+	cfg.HostQueue, cfg.SwitchQueue = red, red
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Build(sim.New(), cfg)
 	}
 }
