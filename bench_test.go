@@ -119,7 +119,9 @@ func BenchmarkFigure4b_LatencyDeep(b *testing.B) {
 func BenchmarkFigure1_QueueSnapshot(b *testing.B) {
 	var snap figures.QueueSnapshot
 	for i := 0; i < b.N; i++ {
-		snap = figures.Figure1(benchScale(), 100*units.Microsecond, 200*units.Microsecond, 1)
+		snap = figures.Figure1(experiment.Config{
+			Scale: benchScale(), TargetDelay: 100 * units.Microsecond, Seed: 1,
+		}, 200*units.Microsecond)
 	}
 	b.ReportMetric(snap.MeanECTShare, "ect-share")
 	b.ReportMetric(snap.MeanACKShare, "ack-share")

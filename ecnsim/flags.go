@@ -266,63 +266,6 @@ func (f *FlagSet) optionsFor(g FlagGroup) ([]Option, error) {
 	return opts, nil
 }
 
-// Bind registers the queue, buffer, workload, fabric and seed flags on fs
-// with the FlagSet's current values as defaults.
-//
-// Deprecated: build a FlagBinder with
-// NewFlagBinder(FlagsQueue | FlagsBuffer | FlagsWorkload | FlagsFabric | FlagsSeed)
-// instead — it also binds -shards, which this legacy surface predates.
-func (f *FlagSet) Bind(fs *flag.FlagSet) {
-	f.bindGroups(fs, FlagsQueue|FlagsBuffer|FlagsWorkload|FlagsFabric|FlagsSeed)
-}
-
-// BindBuffer registers only the -buffer flag, for commands that honor the
-// buffer depth but fix the queue discipline (like aqmcompare, which
-// enumerates the disciplines itself).
-//
-// Deprecated: use NewFlagBinder(FlagsBuffer | ...) instead.
-func (f *FlagSet) BindBuffer(fs *flag.FlagSet) {
-	f.bindGroups(fs, FlagsBuffer)
-}
-
-// BindWorkload registers only the workload/scale flags — for commands (like
-// queueviz) whose queue configuration is fixed by what they visualize, so no
-// flag is accepted and then silently ignored.
-//
-// Deprecated: use NewFlagBinder(FlagsWorkload | FlagsFabric | FlagsSeed)
-// instead.
-func (f *FlagSet) BindWorkload(fs *flag.FlagSet) {
-	f.bindGroups(fs, FlagsWorkload|FlagsFabric|FlagsSeed)
-}
-
-// BindFabric registers only the fabric-shape flags (-racks, -spines) — for
-// commands whose workload is fixed by a named scale but whose fabric should
-// still be selectable from the CLI.
-//
-// Deprecated: use NewFlagBinder(FlagsFabric | ...) instead.
-func (f *FlagSet) BindFabric(fs *flag.FlagSet) {
-	f.bindGroups(fs, FlagsFabric)
-}
-
-// FabricOptions resolves only the fabric-shape flags into builder options.
-//
-// Deprecated: use a FlagBinder's Options, which resolves exactly the bound
-// groups.
-func (f *FlagSet) FabricOptions() []Option {
-	return []Option{Racks(f.Racks), Spines(f.Spines)}
-}
-
-// BindTenant registers the multi-tenant workload flags (-jobs, -arrival,
-// -rpc-clients) — for commands that can drive the workload engine (sweep,
-// figures, the tenant examples). Zero values defer to scenario defaults.
-// On grid commands (sweep, figures), -jobs or -rpc-clients enables the
-// engine; -arrival alone only parameterizes it.
-//
-// Deprecated: use NewFlagBinder(FlagsTenant | ...) instead.
-func (f *FlagSet) BindTenant(fs *flag.FlagSet) {
-	f.bindGroups(fs, FlagsTenant)
-}
-
 // TenantOptions resolves the tenant flags into builder options, reporting a
 // malformed -arrival spec. Unset flags contribute no options, so scenario
 // defaults still apply.
@@ -348,12 +291,4 @@ func (f *FlagSet) TenantOptions() ([]Option, error) {
 		opts = append(opts, RPCClients(f.RPCClients))
 	}
 	return opts, nil
-}
-
-// Options resolves the parsed flag values of the legacy Bind surface into
-// builder options, reporting the first malformed value.
-//
-// Deprecated: use a FlagBinder's Options, which also resolves -shards.
-func (f *FlagSet) Options() ([]Option, error) {
-	return f.optionsFor(FlagsQueue | FlagsBuffer | FlagsWorkload | FlagsFabric | FlagsSeed)
 }

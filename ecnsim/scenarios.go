@@ -142,7 +142,7 @@ func runMixed(ctx context.Context, c *Cluster) ([]Result, error) {
 	r := experiment.RunMixedInterval(c.experimentConfig(), c.rpcInterval)
 	values := map[string]float64{
 		KeyTargetDelay: c.targetDelay.Seconds(),
-		KeyJobRuntime:  r.JobRuntime.Seconds(),
+		KeyJobRuntime:  r.Runtime.Seconds(),
 		KeyRPCCount:    float64(r.RPCCount),
 		KeyRPCMean:     r.RPCMean.Seconds(),
 		KeyRPCP50:      r.RPCP50.Seconds(),

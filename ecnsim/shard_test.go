@@ -63,27 +63,30 @@ func runShardMatrix(t *testing.T, jobs func(t *testing.T, shards int) []Job) {
 }
 
 // TestShardMatrixByteIdentical is the cross-engine determinism matrix over
-// the plain packet engine: the leafspine and degradedfabric scenarios.
+// the plain packet engine: the leafspine, degradedfabric and mixed
+// scenarios.
 func TestShardMatrixByteIdentical(t *testing.T) {
 	runShardMatrix(t, func(t *testing.T, shards int) []Job {
 		return []Job{
 			{Scenario: mustLookup(t, "leafspine"), Cluster: mustCluster(t, shardMatrixOpts(Shards(shards))...)},
 			{Scenario: mustLookup(t, "degradedfabric"), Cluster: mustCluster(t, shardMatrixOpts(Shards(shards))...)},
+			{Scenario: mustLookup(t, "mixed"), Cluster: mustCluster(t, shardMatrixOpts(Shards(shards))...)},
 		}
 	})
 }
 
 // TestNotifyMatrixByteIdentical is the same matrix over the congestion
-// notifier: hotspot (reroute + throttle on the derated fabric) and
-// degradedfabric with notifications on. Notifications cross the shard cut —
-// occupancy crossings observed in shard context become control events that
-// re-salt routing and gate sources — so this is the proof that the whole
-// notification pipeline lives inside the determinism contract.
+// notifier: hotspot (reroute + throttle on the derated fabric), plus
+// degradedfabric and mixed with notifications on. Notifications cross the
+// shard cut — occupancy crossings observed in shard context become control
+// events that re-salt routing and gate sources — so this is the proof that
+// the whole notification pipeline lives inside the determinism contract.
 func TestNotifyMatrixByteIdentical(t *testing.T) {
 	runShardMatrix(t, func(t *testing.T, shards int) []Job {
 		return []Job{
 			{Scenario: mustLookup(t, "hotspot"), Cluster: mustCluster(t, shardMatrixOpts(Notify(), Shards(shards))...)},
 			{Scenario: mustLookup(t, "degradedfabric"), Cluster: mustCluster(t, shardMatrixOpts(Notify(), Shards(shards))...)},
+			{Scenario: mustLookup(t, "mixed"), Cluster: mustCluster(t, shardMatrixOpts(Notify(), Shards(shards))...)},
 		}
 	})
 }
@@ -262,33 +265,5 @@ func TestFlagBinderOptionsScoped(t *testing.T) {
 	// the binder's unbound FlagsQueue defaults ("droptail").
 	if c.QueueKind() != RED || c.Label() != "ecn-ack+syn" {
 		t.Errorf("unbound queue group leaked into the builder: %v", c)
-	}
-}
-
-// TestDeprecatedBindersUnchanged: the legacy Bind/Options surface must keep
-// its exact flag set — in particular, no -shards — so existing callers see
-// no behavior change.
-func TestDeprecatedBindersUnchanged(t *testing.T) {
-	fl := DefaultFlags()
-	fs := flag.NewFlagSet("legacy", flag.ContinueOnError)
-	fl.Bind(fs)
-	for _, want := range []string{"queue", "mode", "transport", "buffer", "target", "nodes", "racks", "spines", "input", "block", "reducers", "seed"} {
-		if fs.Lookup(want) == nil {
-			t.Errorf("legacy Bind lost -%s", want)
-		}
-	}
-	if fs.Lookup("shards") != nil {
-		t.Error("legacy Bind grew -shards; the binder owns the run group")
-	}
-	opts, err := fl.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shards() != 0 {
-		t.Errorf("legacy Options set shards = %d, want the untouched zero value", c.Shards())
 	}
 }

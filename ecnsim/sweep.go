@@ -236,10 +236,13 @@ type QueueSnapshot struct {
 	inner figures.QueueSnapshot
 }
 
-// Figure1 samples one victim egress queue every interval during a Terasort
-// over RED in default mode at the options' scale, target delay and seed (the
-// queue and protection options are ignored — the misbehaving configuration
-// is the point of the figure).
+// Figure1 samples one victim egress queue (the first switch->host port)
+// every interval during a Terasort over RED in default mode under classic
+// ECN, run serially. Queue, protection, transport and shard options are
+// ignored — the misbehaving configuration is the point of the figure. Every
+// other option applies: scale, fabric shape and degradations, links, buffer
+// depth, target delay, AQM and TCP ablations, the hybrid engine,
+// notifications and the seed. WriteDropTrace runs the same configuration.
 func Figure1(interval time.Duration, opts ...Option) (QueueSnapshot, error) {
 	c, err := NewCluster(opts...)
 	if err != nil {
@@ -248,7 +251,7 @@ func Figure1(interval time.Duration, opts ...Option) (QueueSnapshot, error) {
 	if interval <= 0 {
 		return QueueSnapshot{}, fmt.Errorf("ecnsim: Figure1 interval %v must be positive", interval)
 	}
-	return QueueSnapshot{inner: figures.Figure1(c.scale(), c.targetDelay, interval, c.seed)}, nil
+	return QueueSnapshot{inner: figures.Figure1(c.experimentConfig(), interval)}, nil
 }
 
 // Render formats the snapshot like the paper's Figure 1 caption.

@@ -228,9 +228,9 @@ func TestParseArrival(t *testing.T) {
 }
 
 func TestTenantFlags(t *testing.T) {
-	f := DefaultFlags()
+	f := NewFlagBinder(FlagsTenant)
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f.BindTenant(fs)
+	f.Bind(fs)
 	if err := fs.Parse([]string{"-jobs", "6", "-arrival", "fixed:100ms", "-rpc-clients", "8"}); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestTenantFlags(t *testing.T) {
 	}
 
 	// Unset flags contribute nothing (scenario defaults stay in charge).
-	f2 := DefaultFlags()
+	f2 := NewFlagBinder(FlagsTenant)
 	opts2, err := f2.TenantOptions()
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestTenantFlags(t *testing.T) {
 	}
 
 	// A malformed -arrival surfaces from TenantOptions.
-	f3 := DefaultFlags()
+	f3 := NewFlagBinder(FlagsTenant)
 	f3.Arrival = "sometimes"
 	if _, err := f3.TenantOptions(); err == nil {
 		t.Error("malformed -arrival accepted")

@@ -3,42 +3,32 @@ package ecnsim
 import (
 	"io"
 
-	"repro/internal/cluster"
-	"repro/internal/mapred"
+	"repro/internal/experiment"
+	"repro/internal/figures"
 	"repro/internal/metrics"
-	"repro/internal/qdisc"
-	"repro/internal/tcp"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
-// WriteDropTrace reruns the Figure 1 configuration (RED default mode over the
-// options' scale, target delay and seed) with a drop-filtered packet tracer
-// chained in front of the metrics collector, and writes the last n drop
-// events to w as an NS-2-style trace — answering "who died, and where".
+// WriteDropTrace reruns the Figure 1 configuration with a drop-filtered
+// packet tracer chained in front of a fresh metrics collector, and writes the
+// last n drop events to w as an NS-2-style trace — answering "who died, and
+// where". It honors exactly what Figure1 honors (RED default mode, classic
+// ECN, serial; every other option applies), so the snapshot and the trace
+// come from one configuration. The tracer needs the serial engine, which
+// routes every packet through one observer; results are bit-identical at
+// every shard count anyway.
 func WriteDropTrace(w io.Writer, n int, opts ...Option) error {
 	c, err := NewCluster(opts...)
 	if err != nil {
 		return err
 	}
-	spec := c.spec()
-	// Force the misbehaving configuration whatever the caller's options say,
-	// mirroring Figure1. The tracer chains in front of the single metrics
-	// collector via SetObserver, which only the serial engine routes every
-	// packet through — so the trace runs serial regardless of Shards (the
-	// results are bit-identical either way).
-	spec.Queue = cluster.QueueRED
-	spec.Protect = qdisc.ProtectNone
-	spec.Transport = tcp.RenoECN
-	spec.Shards = 1
-	cl := cluster.New(spec)
+	cfg := figures.Figure1Config(c.experimentConfig())
+	cl := experiment.Build(cfg)
 
 	tr := trace.New(n, metrics.New(1<<14, c.seed))
 	tr.Filter = trace.DropsOnly()
 	cl.Topo.Net.SetObserver(tr)
 
-	jobCfg := mapred.TerasortConfig(units.ByteSize(c.inputSize), c.reducers)
-	jobCfg.BlockSize = units.ByteSize(c.blockSize)
-	cl.RunJob(jobCfg)
+	cl.RunJob(cfg.Scale.Terasort())
 	return tr.Dump(w)
 }

@@ -152,8 +152,9 @@ type Spec struct {
 	// (-1) resolves automatically (GOMAXPROCS-aware on leaf-spine fabrics,
 	// serial elsewhere), n > 1 requests that many shards. More than one shard
 	// requires a leaf-spine fabric (Spines > 0) with at most one shard per
-	// rack; RunJob is the sharded drive path (RunUntil/Drain/NewScheduler
-	// need a serial spec). Results are bit-identical at every shard count.
+	// rack; Run (and RunJob over it) is the sharded drive path
+	// (RunUntil/Drain/NewScheduler need a serial spec). Results are
+	// bit-identical at every shard count.
 	Shards int
 
 	// Hybrid enables the fluid/packet hybrid engine: transfers whose paths
@@ -309,7 +310,7 @@ type Cluster struct {
 	Workers []*mapred.Worker
 	Metrics *metrics.Collector
 	// TCP aggregates transport counters. In sharded runs each shard writes
-	// its own block and RunJob folds them in here after the run.
+	// its own block and Run folds them in here after the run.
 	TCP *tcp.Stats
 	// Fluid is the hybrid engine's fluid controller, nil unless Spec.Hybrid.
 	// With FluidThreshold 0 it exists but never admits a transfer.
@@ -558,12 +559,11 @@ func New(spec Spec) *Cluster {
 	return c
 }
 
-// MergeShardState folds per-shard aggregates (metrics counters, transport
-// stats) into the run-wide views. RunJob folds on return; a harness that
-// drives a sharded run through the group loop itself (the simnet façade
-// does) must fold before reading Metrics or TCP, or every counter the
-// shards accumulated reads as zero. Idempotent; a no-op in serial runs.
-func (c *Cluster) MergeShardState() {
+// mergeShardState folds per-shard aggregates (metrics counters, transport
+// stats) into the run-wide views; until it runs, every counter the shards
+// accumulated reads as zero. Run calls it on return, so no drive path can
+// skip it. Idempotent; a no-op in serial runs.
+func (c *Cluster) mergeShardState() {
 	if c.Group.Serial() {
 		return
 	}
@@ -645,10 +645,10 @@ func (c *Cluster) ControlLag() units.Duration {
 }
 
 // RunJob creates, starts and drives a MapReduce job to completion (with a
-// generous simulated-time safety deadline), returning the finished job.
-// This is the sharded drive path: with Shards > 1 the group runs every
-// fabric partition in parallel under conservative lookahead, producing
-// bit-identical results to the serial engine.
+// generous simulated-time safety deadline) through Run, returning the
+// finished job: with Shards > 1 the group runs every fabric partition in
+// parallel under conservative lookahead, producing bit-identical results to
+// the serial engine.
 func (c *Cluster) RunJob(cfg mapred.JobConfig) *mapred.Job {
 	if cfg.ReplicationFactor > 1 && !c.Group.Serial() {
 		panic("cluster: HDFS replication > 1 requires Shards(1) — the write pipeline fans one commit across arbitrary workers")
@@ -667,14 +667,30 @@ func (c *Cluster) RunJob(cfg mapred.JobConfig) *mapred.Job {
 	// timestamp" sentinel.
 	c.Engine.Schedule(units.Time(1*units.Millisecond), job.Start)
 	deadline := units.Time(6 * units.Second * units.Duration(1+c.Spec.Nodes))
-	switch c.Group.RunLoop(job.Done, deadline) {
+	switch c.Run(job.Done, deadline) {
 	case sim.RunDeadlock:
 		panic("cluster: job deadlocked — no pending events")
 	case sim.RunTimeout:
 		panic(fmt.Sprintf("cluster: job exceeded deadline %v (done=%v)", deadline, job.Done()))
 	}
-	c.MergeShardState()
 	return job
+}
+
+// Run drives the cluster until done reports true, no events remain
+// (sim.RunDeadlock), or the next event lies past deadline (sim.RunTimeout;
+// 0 means unbounded), then folds the shards' counters into Metrics and TCP.
+// It is the one loop for serial and sharded runs alike; with the façade
+// wired in it runs the façade's loop, which also rescues tenants that
+// published an operation after the last control event settled.
+func (c *Cluster) Run(done func() bool, deadline units.Time) sim.RunOutcome {
+	var out sim.RunOutcome
+	if c.Net != nil {
+		out = c.Net.Run(done, deadline)
+	} else {
+		out = c.Group.RunLoop(done, deadline)
+	}
+	c.mergeShardState()
+	return out
 }
 
 // Events returns the executed-event count across the whole group — the
@@ -687,7 +703,7 @@ func (c *Cluster) Now() units.Time { return c.Group.Now() }
 // requireSerial guards drive paths that step the control engine directly.
 func (c *Cluster) requireSerial(op string) {
 	if !c.Group.Serial() {
-		panic(fmt.Sprintf("cluster: %s requires Shards(1); only RunJob drives a sharded group", op))
+		panic(fmt.Sprintf("cluster: %s requires Shards(1); only Run drives a sharded group", op))
 	}
 }
 

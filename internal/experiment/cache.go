@@ -19,7 +19,7 @@ import (
 // defaults, metric definition changes); speed-only work that keeps results
 // bit-identical — the bench gate's event-count check is the arbiter — must
 // leave it alone, so warm caches survive performance PRs.
-const ResultsVersion = "ecnsim-results/v2"
+const ResultsVersion = "ecnsim-results/v3"
 
 // CacheKey derives a content address from an ordered list of identity parts
 // (version, scenario name, canonicalized configuration, ...). Parts are

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/packet"
 	"repro/internal/qdisc"
 	"repro/internal/tcp"
 	"repro/internal/units"
@@ -118,6 +117,10 @@ type Config struct {
 	// Degrade lists inter-switch link degradations applied after the fabric
 	// is built (fail or derate; see cluster.LinkDegrade).
 	Degrade []cluster.LinkDegrade
+	// LinkRate and LinkDelay parameterize every edge link (0 = the cluster
+	// default: 10 Gbps, 5 µs).
+	LinkRate  units.Bandwidth `json:"link_rate_bps,omitempty"`
+	LinkDelay units.Duration  `json:"link_delay_ns,omitempty"`
 	// WatchTiers enables per-tier queue-occupancy aggregation; the means
 	// land in Result.TierOccupancy.
 	WatchTiers bool
@@ -203,20 +206,6 @@ type Result struct {
 	ThrottleRecoveries uint64
 }
 
-// notifyStats copies the cluster's congestion-notification counters into the
-// result when the notifier ran.
-func notifyStats(c *cluster.Cluster, res *Result) {
-	if c.Notify == nil {
-		return
-	}
-	s := c.Notify.Stats()
-	res.Notifications = s.Notifications
-	res.HotEpisodes = s.HotEpisodes
-	res.Rerouted = s.Rerouted
-	res.Throttles = s.Throttles
-	res.ThrottleRecoveries = s.Recoveries
-}
-
 // Run executes one Terasort under the configuration and returns its result.
 // When cfg.Workload is set, the multi-tenant engine runs instead and the
 // figure metrics are reported over its measurement window. Runs are
@@ -229,17 +218,23 @@ func Run(cfg Config) Result {
 	return r
 }
 
-// clusterSpec lowers cfg onto the cluster spec (fabric, queues, transport,
-// ablation overrides) — the one lowering shared by the single-job harness
-// and the multi-tenant harness, so a new Config knob cannot silently apply
-// to one but not the other.
-func clusterSpec(cfg Config) cluster.Spec {
+// ClusterSpec lowers cfg onto the cluster spec: fabric, links, queues,
+// transport and every TCP ablation. It is the one lowering: every harness
+// builds its cluster through Build, and the ecnsim builder validates against
+// it, so a Config knob reaches every harness or none.
+func ClusterSpec(cfg Config) cluster.Spec {
 	spec := cluster.DefaultSpec()
 	spec.Nodes = cfg.Scale.Nodes
 	spec.Racks = cfg.Scale.Racks
 	spec.Spines = cfg.Scale.Spines
 	spec.Oversub = cfg.Scale.Oversub
 	spec.Degrade = cfg.Degrade
+	if cfg.LinkRate > 0 {
+		spec.LinkRate = cfg.LinkRate
+	}
+	if cfg.LinkDelay > 0 {
+		spec.LinkDelay = cfg.LinkDelay
+	}
 	spec.Queue = cfg.Setup.Queue
 	spec.Buffer = cfg.Buffer
 	spec.TargetDelay = cfg.TargetDelay
@@ -258,17 +253,7 @@ func clusterSpec(cfg Config) cluster.Spec {
 	spec.NotifyThrottle = cfg.NotifyThrottle
 	spec.Facade = cfg.Facade
 
-	spec.TCPOverride = tcpOverride(cfg, spec.Transport)
-	return spec
-}
-
-// tcpOverride resolves the transport config with cfg's TCP-level overrides
-// applied. Every harness that builds a cluster by hand (incast, mixed) must
-// install it, not just clusterSpec — a knob like MinRTO that rides in the
-// canonical configuration but never reaches the wire poisons every cached
-// result keyed on it.
-func tcpOverride(cfg Config, transport tcp.Variant) *tcp.Config {
-	tcpCfg := tcp.DefaultConfig(transport)
+	tcpCfg := tcp.DefaultConfig(spec.Transport)
 	if cfg.AckWireSize > 0 {
 		tcpCfg.AckWireSize = cfg.AckWireSize
 	}
@@ -281,47 +266,84 @@ func tcpOverride(cfg Config, transport tcp.Variant) *tcp.Config {
 	if cfg.DisableDelAck {
 		tcpCfg.DelayedAck = false
 	}
-	return &tcpCfg
+	spec.TCPOverride = &tcpCfg
+	return spec
+}
+
+// Build constructs the cluster cfg describes: ClusterSpec, then cluster.New,
+// then per-tier occupancy watching when cfg.WatchTiers is set.
+func Build(cfg Config) *cluster.Cluster {
+	c := cluster.New(ClusterSpec(cfg))
+	if cfg.WatchTiers {
+		c.WatchTierOccupancy()
+	}
+	return c
+}
+
+// Terasort returns the Terasort job the scale describes.
+func (s Scale) Terasort() mapred.JobConfig {
+	job := mapred.TerasortConfig(s.InputSize, s.Reducers)
+	job.BlockSize = s.BlockSize
+	return job
+}
+
+// measure fills the fields every harness reports from a finished run c:
+// substrate accounting, drop, mark and transport counters, packet latency,
+// the notifier's counters and, under Config.WatchTiers, tier occupancy.
+// Events come from the whole shard group, never one engine.
+func (r *Result) measure(c *cluster.Cluster) {
+	m := c.Metrics
+	r.Events = c.Events()
+	r.SimTime = units.Duration(c.Now())
+	r.EarlyDrops, r.OverflowDrops = m.Drops()
+	r.Marks = m.Marked.Total()
+	r.AckDropShare = m.AckDropShare()
+	r.MeanLatency = m.MeanLatency()
+	r.P99Latency = m.P99Latency()
+	r.Retransmits = c.TCP.Retransmits()
+	r.RTOEvents = c.TCP.RTOEvents
+	r.SynRetries = c.TCP.SynRetries
+	if c.Notify != nil {
+		s := c.Notify.Stats()
+		r.Notifications = s.Notifications
+		r.HotEpisodes = s.HotEpisodes
+		r.Rerouted = s.Rerouted
+		r.Throttles = s.Throttles
+		r.ThrottleRecoveries = s.Recoveries
+	}
+	if r.Config.WatchTiers {
+		at := c.Now().Seconds()
+		for t := metrics.Tier(0); t < metrics.TierCount; t++ {
+			r.TierOccupancy[t] = m.TierOccupancyAt(t, at)
+		}
+	}
+}
+
+// seconds converts a sample statistic in seconds to a Duration.
+func seconds(sec float64) units.Duration {
+	return units.Duration(sec * float64(units.Second))
 }
 
 // RunJob is Run exposing the finished MapReduce job as well, for callers
 // that report per-phase breakdowns (map waves, shuffle windows) beyond the
 // figure metrics.
 func RunJob(cfg Config) (Result, *mapred.Job) {
-	spec := clusterSpec(cfg)
-	c := cluster.New(spec)
-	if cfg.WatchTiers {
-		c.WatchTierOccupancy()
-	}
-	jobCfg := mapred.TerasortConfig(cfg.Scale.InputSize, cfg.Scale.Reducers)
-	jobCfg.BlockSize = cfg.Scale.BlockSize
-	job := c.RunJob(jobCfg)
+	c := Build(cfg)
+	job := c.RunJob(cfg.Scale.Terasort())
+	return jobResult(cfg, c, job), job
+}
 
+// jobResult reports a finished Terasort on c: runtime, throughput over the
+// shuffle window and the job's own counters, plus the common fields.
+func jobResult(cfg Config, c *cluster.Cluster, job *mapred.Job) Result {
 	lo, hi := job.ShuffleWindow()
 	res := Result{
 		Config:            cfg,
 		Runtime:           job.Runtime(),
-		ThroughputPerNode: c.Metrics.MeanThroughputPerNode(spec.Nodes, lo, hi),
-		MeanLatency:       c.Metrics.MeanLatency(),
-		P99Latency:        c.Metrics.P99Latency(),
+		ThroughputPerNode: c.Metrics.MeanThroughputPerNode(cfg.Scale.Nodes, lo, hi),
 		ShuffledBytes:     job.ShuffledBytes(),
-		AckDropShare:      c.Metrics.AckDropShare(),
-		Marks:             c.Metrics.Marked.Total(),
-		Retransmits:       c.TCP.Retransmits(),
-		RTOEvents:         c.TCP.RTOEvents,
-		SynRetries:        c.TCP.SynRetries,
 		FetchRetries:      job.FetchRetries,
-		Events:            c.Events(),
-		SimTime:           units.Duration(c.Now()),
 	}
-	res.EarlyDrops, res.OverflowDrops = c.Metrics.Drops()
-	notifyStats(c, &res)
-	if cfg.WatchTiers {
-		at := c.Now().Seconds()
-		for t := metrics.Tier(0); t < metrics.TierCount; t++ {
-			res.TierOccupancy[t] = c.Metrics.TierOccupancyAt(t, at)
-		}
-	}
-	_ = packet.HeaderSize
-	return res, job
+	res.measure(c)
+	return res
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/flow"
 	"repro/internal/simnet"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -258,78 +257,23 @@ func RunHTTPLoad(cfg Config, w WorkloadConfig) TenantResult {
 		panic("experiment: httpload needs RPCClients > 0")
 	}
 	cfg.Facade = true
-	spec := clusterSpec(cfg)
-	c := cluster.New(spec)
-	n := c.Net
-	if cfg.WatchTiers {
-		c.WatchTierOccupancy()
-	}
+	c := Build(cfg)
+	p := newPhases(c, w)
 
-	start := units.Time(1 * units.Millisecond)
-	measureStart := start.Add(w.Warmup)
-	measureEnd := measureStart.Add(w.Measure)
-	nw := w.Windows()
-
-	c.Metrics.WatchLatencyWindows(measureStart.Seconds(), w.Window.Seconds(), nw,
-		spec.LatencyReservoir, spec.Seed)
-	c.Metrics.LatencyWindows().SetCutoff(measureEnd.Seconds())
-
-	var fl *httpFleet
-	c.Engine.Schedule(start, func() {
-		fl = startHTTPFleet(c, w, start)
-		n.Settle()
+	c.Engine.Schedule(p.start, func() {
+		p.fleet = startHTTPFleet(c, w, p.start)
+		c.Net.Settle()
 	})
-
-	var payloadAtStart, payloadAtEnd units.ByteSize
-	c.Engine.Schedule(measureStart, func() { payloadAtStart = c.Metrics.TotalDeliveredPayload() })
-	c.Engine.Schedule(measureEnd, func() {
-		payloadAtEnd = c.Metrics.TotalDeliveredPayload()
-		fl.Stop()
-	})
+	p.scheduleBoundaries(c)
 
 	// The drain deadline bounds the tail: exchanges in flight at measureEnd
 	// finish (they are the slowest tail), but a wedged run cannot hang.
-	drainEnd := measureEnd.Add(6 * units.Second * units.Duration(1+spec.Nodes))
-	n.Run(func() bool { return c.Now() >= measureEnd && fl.Outstanding() == 0 }, drainEnd)
-	drained := fl.Outstanding() == 0
-	n.Shutdown()
-	// Fold per-shard counters into the run-wide views; without this every
-	// fabric counter below reads zero in sharded runs.
-	c.MergeShardState()
+	c.Run(func() bool { return c.Now() >= p.measureEnd && p.fleet.Outstanding() == 0 }, p.drainDeadline(c))
+	drained := p.fleet.Outstanding() == 0
+	c.Net.Shutdown()
 
 	res := TenantResult{Workload: w, Drained: drained}
 	res.Config = cfg
-
-	rpcAll := stats.NewSample()
-	rpcWin := stats.NewWindowed(measureStart.Seconds(), w.Window.Seconds(), nw)
-	results, cut := fl.Exchanges()
-	res.RPCFailed = aggregateRPC(results, cut, measureStart, measureEnd, rpcAll, rpcWin)
-	toDur := func(sec float64) units.Duration {
-		return units.Duration(sec * float64(units.Second))
-	}
-	res.RPCCount = rpcAll.N()
-	res.RPCMean = toDur(rpcAll.Mean())
-	res.RPCP50 = toDur(rpcAll.Quantile(0.5))
-	res.RPCP99 = toDur(rpcAll.Quantile(0.99))
-	res.RPCWindows = windowStats(rpcWin, nw, w.Window)
-	res.NetWindows = windowStats(c.Metrics.LatencyWindows(), nw, w.Window)
-
-	res.Runtime = c.Now().Sub(start)
-	if sec := w.Measure.Seconds(); sec > 0 && spec.Nodes > 0 {
-		res.ThroughputPerNode = units.Bandwidth(
-			float64((payloadAtEnd-payloadAtStart)*8) / sec / float64(spec.Nodes))
-	}
-	res.MeanLatency = c.Metrics.MeanLatency()
-	res.P99Latency = c.Metrics.P99Latency()
-	res.ShuffledBytes = payloadAtEnd - payloadAtStart
-	res.AckDropShare = c.Metrics.AckDropShare()
-	res.Marks = c.Metrics.Marked.Total()
-	res.Retransmits = c.TCP.Retransmits()
-	res.RTOEvents = c.TCP.RTOEvents
-	res.SynRetries = c.TCP.SynRetries
-	res.EarlyDrops, res.OverflowDrops = c.Metrics.Drops()
-	res.Events = c.Events()
-	res.SimTime = units.Duration(c.Now())
-	notifyStats(c, &res.Result)
+	p.report(c, &res)
 	return res
 }

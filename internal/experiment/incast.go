@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/flow"
 	"repro/internal/packet"
 	"repro/internal/units"
@@ -12,43 +11,33 @@ import (
 // deep-buffer study it cites): N synchronized senders, one receiver, one
 // switch. IncastResult reports completion and loss for one configuration.
 type IncastResult struct {
-	Config  Config
+	Result
 	Senders int
 	Flow    units.ByteSize
 
-	Completed     int
-	Last          units.Duration // completion time of the slowest flow
-	AggGoodput    units.Bandwidth
-	EarlyDrops    uint64
-	OverflowDrops uint64
-	Retransmits   uint64
-	RTOEvents     uint64
-	MeanLatency   units.Duration
-
-	// Substrate accounting (see Result.Events / Result.SimTime).
-	Events  uint64
-	SimTime units.Duration
+	Completed  int
+	Last       units.Duration // completion time of the slowest flow
+	AggGoodput units.Bandwidth
 }
 
 // RunIncast executes senders->1 bulk transfers of flowSize each through the
-// configured queue discipline. Scale.Nodes is ignored; the fabric has
-// senders+1 hosts.
+// configured queue discipline. The fabric shape is fixed: one switch with
+// senders+1 hosts, no degradations, run serially, so Scale's nodes, racks,
+// spines and shards and Config.Degrade are overridden. Every other Config
+// field applies as in Run: buffer, target delay, links, AQM ablations, TCP
+// overrides, the hybrid engine and congestion notifications.
 func RunIncast(cfg Config, senders int, flowSize units.ByteSize) IncastResult {
-	spec := cluster.DefaultSpec()
-	spec.Nodes = senders + 1
-	spec.Queue = cfg.Setup.Queue
-	spec.Buffer = cfg.Buffer
-	spec.TargetDelay = cfg.TargetDelay
-	spec.Protect = cfg.Setup.Protect
-	spec.Transport = cfg.Setup.Transport
-	spec.Seed = cfg.Seed
-	spec.TCPOverride = tcpOverride(cfg, spec.Transport)
-
-	c := cluster.New(spec)
+	run := cfg
+	run.Scale.Nodes = senders + 1
+	run.Scale.Racks = 1
+	run.Scale.Spines = 0
+	run.Scale.Shards = 1
+	run.Degrade = nil
+	c := Build(run)
 	flow.RegisterBulkSink(c.Stacks[senders], 9000, nil)
 	dst := packet.Addr{Node: c.Topo.Hosts[senders].ID(), Port: 9000}
 
-	res := IncastResult{Config: cfg, Senders: senders, Flow: flowSize}
+	res := IncastResult{Result: Result{Config: cfg}, Senders: senders, Flow: flowSize}
 	var last units.Time
 	for i := 0; i < senders; i++ {
 		flow.StartBulk(c.Stacks[i], dst, flowSize, func(r *flow.BulkResult) {
@@ -61,6 +50,8 @@ func RunIncast(cfg Config, senders int, flowSize units.ByteSize) IncastResult {
 			}
 		})
 	}
+	// Run until idle: the engine's own deadline bounds a wedged run without
+	// executing an event past it.
 	c.Engine.SetDeadline(units.Time(300 * units.Second))
 	c.Engine.Run()
 
@@ -68,11 +59,6 @@ func RunIncast(cfg Config, senders int, flowSize units.ByteSize) IncastResult {
 	if last > 0 {
 		res.AggGoodput = units.Bandwidth(float64(units.ByteSize(senders)*flowSize*8) / last.Seconds())
 	}
-	res.EarlyDrops, res.OverflowDrops = c.Metrics.Drops()
-	res.Retransmits = c.TCP.Retransmits()
-	res.RTOEvents = c.TCP.RTOEvents
-	res.MeanLatency = c.Metrics.MeanLatency()
-	res.Events = c.Engine.Executed()
-	res.SimTime = units.Duration(c.Engine.Now())
+	res.measure(c)
 	return res
 }

@@ -153,8 +153,7 @@ func RunMacro(cfg Config, w MacroWorkload) MacroResult {
 // sees the built cluster before the first event, which is how the
 // promotion/demotion property test installs its fluid trace.
 func runMacro(cfg Config, w MacroWorkload, observe func(*cluster.Cluster)) MacroResult {
-	spec := clusterSpec(cfg)
-	c := cluster.New(spec)
+	c := Build(cfg)
 	for _, st := range c.Stacks {
 		flow.RegisterBulkSink(st, MacroPort, nil)
 	}
@@ -180,7 +179,7 @@ func runMacro(cfg Config, w MacroWorkload, observe func(*cluster.Cluster)) Macro
 	stopAt := m.measureTo.Add(w.Drain)
 	eng.Schedule(stopAt, func() { m.stopped = true })
 
-	c.Group.RunLoop(func() bool { return m.stopped }, 0)
+	c.Run(func() bool { return m.stopped }, 0)
 
 	res := MacroResult{
 		Config:        cfg,

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/flow"
-	"repro/internal/mapred"
 	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -12,11 +10,10 @@ import (
 // MixedResult reports the paper's motivating scenario quantitatively: a
 // latency-sensitive RPC service sharing the fabric with a Hadoop job. The
 // paper's introduction cites IoT/SQL-on-Hadoop services with millisecond
-// requirements; MixedResult says what they would actually observe.
+// requirements; MixedResult says what they would actually observe. The
+// embedded Result is the job's view, as RunJob reports it.
 type MixedResult struct {
-	Config Config
-
-	JobRuntime units.Duration
+	Result
 
 	// RPC latency distribution over the job's lifetime.
 	RPCCount  uint64
@@ -25,10 +22,6 @@ type MixedResult struct {
 	RPCP99    units.Duration
 	RPCMax    units.Duration
 	RPCFailed int
-
-	// Substrate accounting (see Result.Events / Result.SimTime).
-	Events  uint64
-	SimTime units.Duration
 }
 
 // RunMixed executes a Terasort with an RPC probe (128 B request / 4 KiB
@@ -40,53 +33,28 @@ func RunMixed(cfg Config) MixedResult {
 
 // RunMixedInterval is RunMixed with a configurable probe period.
 func RunMixedInterval(cfg Config, interval units.Duration) MixedResult {
-	spec := cluster.DefaultSpec()
-	spec.Nodes = cfg.Scale.Nodes
-	spec.Racks = cfg.Scale.Racks
-	spec.Spines = cfg.Scale.Spines
-	spec.Oversub = cfg.Scale.Oversub
-	spec.Degrade = cfg.Degrade
-	spec.Queue = cfg.Setup.Queue
-	spec.Buffer = cfg.Buffer
-	spec.TargetDelay = cfg.TargetDelay
-	spec.Protect = cfg.Setup.Protect
-	spec.Transport = cfg.Setup.Transport
-	spec.Seed = cfg.Seed
-	spec.TCPOverride = tcpOverride(cfg, spec.Transport)
-
-	c := cluster.New(spec)
+	c := Build(cfg)
 	flow.RegisterRPCServer(c.Stacks[1], 7000, 128, 4096)
 	probe := flow.StartRPCClient(c.Stacks[0],
 		packet.Addr{Node: c.Topo.Hosts[1].ID(), Port: 7000},
 		flow.RPCConfig{ReqSize: 128, RespSize: 4096, Interval: interval})
 
-	jobCfg := mapred.TerasortConfig(cfg.Scale.InputSize, cfg.Scale.Reducers)
-	jobCfg.BlockSize = cfg.Scale.BlockSize
-	job := c.RunJob(jobCfg)
+	job := c.RunJob(cfg.Scale.Terasort())
 	probe.Stop()
 
+	res := MixedResult{Result: jobResult(cfg, c, job)}
 	sample := stats.NewSample()
-	failed := 0
 	for i := range probe.Results {
 		if probe.Results[i].Failed {
-			failed++
+			res.RPCFailed++
 			continue
 		}
 		sample.Add(probe.Results[i].Latency().Seconds())
 	}
-	toDur := func(sec float64) units.Duration {
-		return units.Duration(sec * float64(units.Second))
-	}
-	return MixedResult{
-		Config:     cfg,
-		JobRuntime: job.Runtime(),
-		RPCCount:   sample.N(),
-		RPCMean:    toDur(sample.Mean()),
-		RPCP50:     toDur(sample.Quantile(0.5)),
-		RPCP99:     toDur(sample.Quantile(0.99)),
-		RPCMax:     toDur(sample.Max()),
-		RPCFailed:  failed,
-		Events:     c.Engine.Executed(),
-		SimTime:    units.Duration(c.Engine.Now()),
-	}
+	res.RPCCount = sample.N()
+	res.RPCMean = seconds(sample.Mean())
+	res.RPCP50 = seconds(sample.Quantile(0.5))
+	res.RPCP99 = seconds(sample.Quantile(0.99))
+	res.RPCMax = seconds(sample.Max())
+	return res
 }

@@ -27,7 +27,7 @@ func TestMixedProducesRPCSamples(t *testing.T) {
 		t.Errorf("RPC stats malformed: mean=%v p50=%v p99=%v max=%v",
 			r.RPCMean, r.RPCP50, r.RPCP99, r.RPCMax)
 	}
-	if r.JobRuntime <= 0 {
+	if r.Runtime <= 0 {
 		t.Error("job runtime missing")
 	}
 }
@@ -41,15 +41,15 @@ func TestMixedMarkingProtectsServiceLatency(t *testing.T) {
 	if marked.RPCP99 >= bloat.RPCP99 {
 		t.Errorf("marking p99 %v not below deep-droptail p99 %v", marked.RPCP99, bloat.RPCP99)
 	}
-	if marked.JobRuntime > bloat.JobRuntime*2 {
-		t.Errorf("marking sacrificed the job: %v vs %v", marked.JobRuntime, bloat.JobRuntime)
+	if marked.Runtime > bloat.Runtime*2 {
+		t.Errorf("marking sacrificed the job: %v vs %v", marked.Runtime, bloat.Runtime)
 	}
 }
 
 func TestMixedDeterministic(t *testing.T) {
 	a := mixedRun(experiment.SetupECNAckSyn, cluster.Shallow)
 	b := mixedRun(experiment.SetupECNAckSyn, cluster.Shallow)
-	if a.RPCMean != b.RPCMean || a.JobRuntime != b.JobRuntime || a.RPCCount != b.RPCCount {
+	if a.RPCMean != b.RPCMean || a.Runtime != b.Runtime || a.RPCCount != b.RPCCount {
 		t.Error("mixed runs diverged across identical configs")
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/flow"
 	"repro/internal/mapred"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -248,6 +247,84 @@ type TenantResult struct {
 	NetWindows []WindowStat
 }
 
+// phases is the steady-state layout RunTenants and RunHTTPLoad share:
+// workload start at 1 ms, warmup, a measurement phase split into windows,
+// then a drain. It owns the per-packet latency windows, the delivered-payload
+// snapshots at the measurement boundaries, the service fleet's stop, and the
+// SLO aggregation.
+type phases struct {
+	w                               WorkloadConfig
+	start, measureStart, measureEnd units.Time
+	windows                         int
+	// fleet is the service tier (nil = batch only). A harness may install
+	// it inside an event before measureEnd.
+	fleet                        ServiceFleet
+	payloadAtStart, payloadAtEnd units.ByteSize
+}
+
+// newPhases lays w out on c and arms the windowed per-packet latency series.
+// Like RunJob, everything starts slightly after t=0 so TSVal==0 never
+// collides with the "no timestamp" sentinel.
+func newPhases(c *cluster.Cluster, w WorkloadConfig) *phases {
+	p := &phases{w: w, start: units.Time(1 * units.Millisecond), windows: w.Windows()}
+	p.measureStart = p.start.Add(w.Warmup)
+	p.measureEnd = p.measureStart.Add(w.Measure)
+	c.Metrics.WatchLatencyWindows(p.measureStart.Seconds(), w.Window.Seconds(), p.windows,
+		c.Spec.LatencyReservoir, c.Spec.Seed)
+	// When Measure is not an exact multiple of Window the last window would
+	// extend past the measurement phase and absorb drain-phase latencies;
+	// cut it off at measureEnd so the steady-state series stays honest.
+	c.Metrics.LatencyWindows().SetCutoff(p.measureEnd.Seconds())
+	return p
+}
+
+// scheduleBoundaries snapshots the delivered payload at both ends of the
+// measurement phase (steady-state throughput is their delta, not whole-run
+// totals) and stops the fleet at its end. Call it after the workload is
+// installed: events at one instant run in schedule order, so the boundaries
+// must follow the workload's own start events.
+func (p *phases) scheduleBoundaries(c *cluster.Cluster) {
+	c.Engine.Schedule(p.measureStart, func() { p.payloadAtStart = c.Metrics.TotalDeliveredPayload() })
+	c.Engine.Schedule(p.measureEnd, func() {
+		p.payloadAtEnd = c.Metrics.TotalDeliveredPayload()
+		if p.fleet != nil {
+			p.fleet.Stop()
+		}
+	})
+}
+
+// drainDeadline bounds the drain phase generously for the cluster's size.
+func (p *phases) drainDeadline(c *cluster.Cluster) units.Time {
+	return p.measureEnd.Add(6 * units.Second * units.Duration(1+c.Spec.Nodes))
+}
+
+// report fills res from the finished run: the service tier windowed over
+// the measurement phase, the per-packet latency windows, the figure metrics
+// (throughput over the measurement window, runtime from the workload start)
+// and the fields every result carries.
+func (p *phases) report(c *cluster.Cluster, res *TenantResult) {
+	w := p.w
+	rpcAll := stats.NewSample()
+	rpcWin := stats.NewWindowed(p.measureStart.Seconds(), w.Window.Seconds(), p.windows)
+	if p.fleet != nil {
+		results, cut := p.fleet.Exchanges()
+		res.RPCFailed = aggregateRPC(results, cut, p.measureStart, p.measureEnd, rpcAll, rpcWin)
+	}
+	res.RPCCount = rpcAll.N()
+	res.RPCMean = seconds(rpcAll.Mean())
+	res.RPCP50 = seconds(rpcAll.Quantile(0.5))
+	res.RPCP99 = seconds(rpcAll.Quantile(0.99))
+	res.RPCWindows = windowStats(rpcWin, p.windows, w.Window)
+	res.NetWindows = windowStats(c.Metrics.LatencyWindows(), p.windows, w.Window)
+
+	res.Runtime = c.Now().Sub(p.start)
+	res.ShuffledBytes = p.payloadAtEnd - p.payloadAtStart
+	if sec := w.Measure.Seconds(); sec > 0 && c.Spec.Nodes > 0 {
+		res.ThroughputPerNode = units.Bandwidth(float64(res.ShuffledBytes*8) / sec / float64(c.Spec.Nodes))
+	}
+	res.measure(c)
+}
+
 // RunTenants executes the multi-tenant workload under the configuration.
 // It panics on an invalid workload (the ecnsim layer validates at
 // NewCluster time, like every other config error).
@@ -255,29 +332,14 @@ func RunTenants(cfg Config, w WorkloadConfig) TenantResult {
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	spec := clusterSpec(cfg)
 	// The tenant harness drives the cluster through RunUntil/Drain and the
 	// shared slot scheduler — the serial drive path — so the shard request is
-	// overridden rather than panicking deep inside the run.
-	spec.Shards = 1
-	c := cluster.New(spec)
-	if cfg.WatchTiers {
-		c.WatchTierOccupancy()
-	}
-
-	// Phase layout. Like RunJob, everything starts slightly after t=0 so
-	// TSVal==0 never collides with the "no timestamp" sentinel.
-	start := units.Time(1 * units.Millisecond)
-	measureStart := start.Add(w.Warmup)
-	measureEnd := measureStart.Add(w.Measure)
-	nw := w.Windows()
-
-	c.Metrics.WatchLatencyWindows(measureStart.Seconds(), w.Window.Seconds(), nw,
-		spec.LatencyReservoir, spec.Seed)
-	// When Measure is not an exact multiple of Window the last window would
-	// extend past the measurement phase and absorb drain-phase latencies;
-	// cut it off at measureEnd so the steady-state series stays honest.
-	c.Metrics.LatencyWindows().SetCutoff(measureEnd.Seconds())
+	// overridden rather than panicking deep inside the run. The result still
+	// reports the caller's configuration.
+	run := cfg
+	run.Scale.Shards = 1
+	c := Build(run)
+	p := newPhases(c, w)
 
 	// Batch tier: seeded arrivals drawing from the job mix into the
 	// shared-slot scheduler.
@@ -286,16 +348,16 @@ func RunTenants(cfg Config, w WorkloadConfig) TenantResult {
 	if len(entries) == 0 {
 		entries = mapred.DefaultMix(cfg.Scale.InputSize, cfg.Scale.Reducers)
 	}
-	mix, err := mapred.NewJobMix(entries, spec.Seed^0x6a09e667f3bcc908)
+	mix, err := mapred.NewJobMix(entries, cfg.Seed^0x6a09e667f3bcc908)
 	if err != nil {
 		panic(err)
 	}
-	arrivals := mapred.NewArrivalProcess(w.Arrival, w.MeanInterarrival, spec.Seed^0xbb67ae8584caa73b)
+	arrivals := mapred.NewArrivalProcess(w.Arrival, w.MeanInterarrival, cfg.Seed^0xbb67ae8584caa73b)
 	submitted := 0
 	var firstSubmit units.Time
 	var submitNext func()
 	submitNext = func() {
-		if c.Engine.Now() >= measureEnd {
+		if c.Engine.Now() >= p.measureEnd {
 			return // the submission phase closes with the measurement phase
 		}
 		if w.MaxJobs > 0 && submitted >= w.MaxJobs {
@@ -308,39 +370,26 @@ func RunTenants(cfg Config, w WorkloadConfig) TenantResult {
 		submitted++
 		c.Engine.After(arrivals.Next(), submitNext)
 	}
-	c.Engine.Schedule(start, submitNext)
+	c.Engine.Schedule(p.start, submitNext)
 
 	// Service tier: the open-loop RPC fleet (the modeled side of the seam).
-	var fleet ServiceFleet
 	if w.RPCClients > 0 {
-		fleet = modeledFleet{flow.StartFleet(c.Stacks, w.fleetConfig(spec.Seed^0x3c6ef372fe94f82b), start)}
+		p.fleet = modeledFleet{flow.StartFleet(c.Stacks, w.fleetConfig(cfg.Seed^0x3c6ef372fe94f82b), p.start)}
 	}
+	p.scheduleBoundaries(c)
 
-	// Steady-state throughput comes from the delivered-byte delta across
-	// the measurement window, not whole-run totals.
-	var payloadAtStart, payloadAtEnd units.ByteSize
-	c.Engine.Schedule(measureStart, func() { payloadAtStart = c.Metrics.TotalDeliveredPayload() })
-	c.Engine.Schedule(measureEnd, func() {
-		payloadAtEnd = c.Metrics.TotalDeliveredPayload()
-		if fleet != nil {
-			fleet.Stop()
-		}
-	})
-
-	c.RunUntil(measureEnd)
-	drainEnd := measureEnd.Add(6 * units.Second * units.Duration(1+spec.Nodes))
+	// RunUntil, not a loop predicate: the clock lands exactly on measureEnd.
+	c.RunUntil(p.measureEnd)
 	// Quiet means both tiers are done: the batch backlog has run out AND no
 	// RPC exchange is still in flight — otherwise exactly the slowest tail
 	// exchanges would be dropped from the windows they exist to expose.
-	drained := c.Drain(drainEnd, func() bool {
+	drained := c.Drain(p.drainDeadline(c), func() bool {
 		if sched.Active() > 0 {
 			return false
 		}
-		return fleet == nil || fleet.Outstanding() == 0
+		return p.fleet == nil || p.fleet.Outstanding() == 0
 	})
 
-	// ------------------------------------------------------------------
-	// Aggregate.
 	res := TenantResult{Workload: w, Drained: drained, JobsSubmitted: submitted}
 	res.Config = cfg
 
@@ -358,12 +407,9 @@ func RunTenants(cfg Config, w WorkloadConfig) TenantResult {
 		}
 		res.FetchRetries += j.FetchRetries
 	}
-	toDur := func(sec float64) units.Duration {
-		return units.Duration(sec * float64(units.Second))
-	}
-	res.JobMean = toDur(jobSample.Mean())
-	res.JobP50 = toDur(jobSample.Quantile(0.5))
-	res.JobP99 = toDur(jobSample.Quantile(0.99))
+	res.JobMean = seconds(jobSample.Mean())
+	res.JobP50 = seconds(jobSample.Quantile(0.5))
+	res.JobP99 = seconds(jobSample.Quantile(0.99))
 	if submitted > 0 {
 		end := lastDone
 		if !drained || end == 0 {
@@ -372,46 +418,7 @@ func RunTenants(cfg Config, w WorkloadConfig) TenantResult {
 		res.Makespan = end.Sub(firstSubmit)
 	}
 
-	// Service tier: window every exchange issued inside the measurement
-	// phase, clients in fleet order so the aggregation is deterministic.
-	rpcAll := stats.NewSample()
-	rpcWin := stats.NewWindowed(measureStart.Seconds(), w.Window.Seconds(), nw)
-	if fleet != nil {
-		results, cut := fleet.Exchanges()
-		res.RPCFailed = aggregateRPC(results, cut, measureStart, measureEnd, rpcAll, rpcWin)
-	}
-	res.RPCCount = rpcAll.N()
-	res.RPCMean = toDur(rpcAll.Mean())
-	res.RPCP50 = toDur(rpcAll.Quantile(0.5))
-	res.RPCP99 = toDur(rpcAll.Quantile(0.99))
-	res.RPCWindows = windowStats(rpcWin, nw, w.Window)
-	res.NetWindows = windowStats(c.Metrics.LatencyWindows(), nw, w.Window)
-
-	// Figure metrics: throughput over the measurement window, latency and
-	// drop accounting over the whole run (as every harness reports them).
-	res.Runtime = c.Engine.Now().Sub(start)
-	if sec := w.Measure.Seconds(); sec > 0 && spec.Nodes > 0 {
-		res.ThroughputPerNode = units.Bandwidth(
-			float64((payloadAtEnd-payloadAtStart)*8) / sec / float64(spec.Nodes))
-	}
-	res.MeanLatency = c.Metrics.MeanLatency()
-	res.P99Latency = c.Metrics.P99Latency()
-	res.ShuffledBytes = payloadAtEnd - payloadAtStart
-	res.AckDropShare = c.Metrics.AckDropShare()
-	res.Marks = c.Metrics.Marked.Total()
-	res.Retransmits = c.TCP.Retransmits()
-	res.RTOEvents = c.TCP.RTOEvents
-	res.SynRetries = c.TCP.SynRetries
-	res.EarlyDrops, res.OverflowDrops = c.Metrics.Drops()
-	res.Events = c.Engine.Executed()
-	res.SimTime = units.Duration(c.Engine.Now())
-	notifyStats(c, &res.Result)
-	if cfg.WatchTiers {
-		at := c.Engine.Now().Seconds()
-		for t := metrics.Tier(0); t < metrics.TierCount; t++ {
-			res.TierOccupancy[t] = c.Metrics.TierOccupancyAt(t, at)
-		}
-	}
+	p.report(c, &res)
 	return res
 }
 

@@ -10,10 +10,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
-	"repro/internal/mapred"
 	"repro/internal/packet"
 	"repro/internal/qdisc"
-	"repro/internal/tcp"
 	"repro/internal/units"
 )
 
@@ -191,18 +189,21 @@ type QueueSnapshot struct {
 	AckDropShare                  float64
 }
 
-// Figure1 runs a Terasort over RED in default mode (the misbehaving
-// configuration) and samples one victim egress queue every interval.
-func Figure1(scale experiment.Scale, target units.Duration, interval units.Duration, seed uint64) QueueSnapshot {
-	spec := cluster.DefaultSpec()
-	spec.Nodes = scale.Nodes
-	spec.Queue = cluster.QueueRED
-	spec.Buffer = cluster.Shallow
-	spec.TargetDelay = target
-	spec.Protect = qdisc.ProtectNone
-	spec.Transport = tcp.RenoECN
-	spec.Seed = seed
-	c := cluster.New(spec)
+// Figure1Config forces the Figure 1 setup on cfg: RED in its default
+// (unprotected) mode under classic ECN, run serially so the control engine
+// can sample a port and a tracer can observe every packet. Everything else
+// in cfg applies.
+func Figure1Config(cfg experiment.Config) experiment.Config {
+	cfg.Setup = experiment.SetupECNDefault
+	cfg.Scale.Shards = 1
+	return cfg
+}
+
+// Figure1 runs a Terasort under Figure1Config(cfg) — the misbehaving
+// configuration — and samples one victim egress queue every interval.
+func Figure1(cfg experiment.Config, interval units.Duration) QueueSnapshot {
+	cfg = Figure1Config(cfg)
+	c := experiment.Build(cfg)
 
 	var snap QueueSnapshot
 	port := c.Ports()[0]
@@ -241,9 +242,7 @@ func Figure1(scale experiment.Scale, target units.Duration, interval units.Durat
 	}
 	c.Engine.After(interval, tick)
 
-	jobCfg := mapred.TerasortConfig(scale.InputSize, scale.Reducers)
-	jobCfg.BlockSize = scale.BlockSize
-	c.RunJob(jobCfg)
+	c.RunJob(cfg.Scale.Terasort())
 
 	if snap.Samples > 0 {
 		snap.MeanDepth /= float64(snap.Samples)

@@ -95,9 +95,13 @@ func TestHeadlineComputation(t *testing.T) {
 }
 
 func TestFigure1SnapshotShowsComposition(t *testing.T) {
-	snap := figures.Figure1(experiment.Scale{
-		Nodes: 4, InputSize: 64 * units.MiB, BlockSize: 16 * units.MiB, Reducers: 8,
-	}, 100*units.Microsecond, 200*units.Microsecond, 1)
+	snap := figures.Figure1(experiment.Config{
+		Scale: experiment.Scale{
+			Nodes: 4, InputSize: 64 * units.MiB, BlockSize: 16 * units.MiB, Reducers: 8,
+		},
+		TargetDelay: 100 * units.Microsecond,
+		Seed:        1,
+	}, 200*units.Microsecond)
 
 	if snap.Samples == 0 {
 		t.Fatal("no queue samples taken")
