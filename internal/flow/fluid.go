@@ -104,6 +104,11 @@ type fluidFlow struct {
 	ev         sim.Event
 	done       bool
 	fixed      bool // solver scratch
+
+	// hops backs path inside the flow's own allocation. Every fabric the
+	// builders make resolves paths of at most four ports; a longer path
+	// spills to an array of its own.
+	hops [4]*fluidPort
 }
 
 // fluidPort is the controller's view of one tracked egress port.
@@ -130,11 +135,15 @@ type fluidPort struct {
 	// control context, read by the owning shard during windows.
 	hasFluid bool
 
+	// alloc is the fluid rate allocated on the port. In the fast regime it
+	// is the sum of the port's flow demands, added in flows order from zero
+	// exactly as the solve adds them; an empty port holds 0.
+	alloc float64
+
 	// Solver scratch.
 	inSolve  bool
 	residual float64
 	nActive  int
-	alloc    float64
 }
 
 // Fluid is the hybrid fluid/packet controller. Build one per cluster with
@@ -147,7 +156,34 @@ type Fluid struct {
 
 	ports  map[*netsim.Port]*fluidPort
 	flows  []*fluidFlow
-	active []*fluidPort // solver scratch
+	active []*fluidPort // the ports the last full solve loaded
+
+	// fast marks the fast regime: every flow runs at its demand, and no
+	// loaded port is tight (its first-pass share capBits/len(flows) below
+	// maxDemand) or at the threshold. While it holds, the full solve would
+	// fix every flow at its demand in its first pass, so admissions and
+	// removals update only the changed flow's path. Only full solves enter
+	// it; a withdrawal puts back the regime its offer found.
+	fast      bool
+	maxDemand float64 // the largest demand among fluid flows
+	nMax      int     // how many fluid flows have demand maxDemand
+
+	// StartFlow's path scratch: the resolved fabric ports, then the
+	// controller's view of them.
+	hopBuf  []*netsim.Port
+	pathBuf []*fluidPort
+
+	// What a solved admission saves so that a withdrawn newcomer restores
+	// it instead of solving again: the regime, each standing flow's rate,
+	// and the allocation of every port on each standing flow's path, in
+	// that visiting order.
+	savedFast   bool
+	savedRates  []float64
+	savedAllocs []float64
+
+	// completeArg is complete as an event callback, built once so that
+	// scheduling a completion allocates nothing.
+	completeArg func(any)
 
 	// OnDelivered, if set, credits fluid-delivered payload bytes — the
 	// cluster wires the metrics collector here so throughput accounting sees
@@ -168,7 +204,9 @@ func NewFluid(g *sim.Group, net *netsim.Network, cfg FluidConfig) *Fluid {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Fluid{g: g, net: net, cfg: cfg, ports: make(map[*netsim.Port]*fluidPort)}
+	f := &Fluid{g: g, net: net, cfg: cfg, ports: make(map[*netsim.Port]*fluidPort), fast: true}
+	f.completeArg = func(fl any) { f.complete(fl.(*fluidFlow)) }
+	return f
 }
 
 // Active reports whether the fluid model can ever admit a transfer.
@@ -228,42 +266,104 @@ func (f *Fluid) StartFlow(src, dst packet.Addr, size units.ByteSize, demand unit
 		panic("flow: fluid transfer needs onComplete and onPromote callbacks")
 	}
 	now := f.g.Ctrl().Now()
-	ports := f.net.PathPorts(src, dst)
-	if ports == nil {
+	var ok bool
+	f.hopBuf, ok = f.net.PathPorts(f.hopBuf[:0], src, dst)
+	if !ok {
 		f.stats.PacketRefused++
 		return false
 	}
-	path := make([]*fluidPort, len(ports))
-	for i, p := range ports {
+	f.pathBuf = f.pathBuf[:0]
+	for _, p := range f.hopBuf {
 		fp := f.ports[p]
 		if fp == nil || fp.packetMode || f.episodeActive(fp, now) {
 			f.stats.PacketRefused++
 			return false
 		}
-		path[i] = fp
+		f.pathBuf = append(f.pathBuf, fp)
 	}
 	f.settle(now)
 	fl := &fluidFlow{
 		src: src, dst: dst, size: size,
 		demand: float64(demand), remaining: float64(size), lastUpdate: now,
-		path: path, onComplete: onComplete, onPromote: onPromote,
+		onComplete: onComplete, onPromote: onPromote,
+	}
+	fl.path = append(fl.hops[:0], f.pathBuf...)
+	// A newcomer whose demand is within the largest cannot make a port off
+	// its path tight, so if none on its path turns tight either, the solve
+	// would fix every flow at its demand in its first pass.
+	fast := f.fast && fl.demand <= f.maxDemand && f.roomFor(fl.path)
+	if !fast {
+		f.save()
 	}
 	f.attach(fl)
-	f.solveRates()
-	if f.overThreshold(path) {
+	if fast {
+		fl.rate = fl.demand
+		for _, fp := range fl.path {
+			fp.alloc += fl.demand
+		}
+	} else {
+		f.solve()
+	}
+	if f.overThreshold(fl.path) {
 		// The newcomer would congest its own path: withdraw it to the packet
-		// engine. Standing flows re-solve to exactly their previous rates
-		// (the flow set is restored), so their completion events stand.
+		// engine. On the fast path detach's re-sums are the whole undo; a
+		// solved admission puts back the rates and allocations it saved.
+		// reschedule still re-times every standing flow whose completion
+		// time settle's rounding moved.
 		f.detach(fl)
-		f.solveRates()
+		if !fast {
+			f.restore()
+		}
 		f.reschedule(now)
 		f.stats.PacketRefused++
 		return false
 	}
 	f.stats.FluidStarted++
 	f.reschedule(now)
-	f.trace(TraceEvent{Kind: TraceAdmit, At: now, Path: ports})
+	f.tracePath(TraceAdmit, now, fl)
 	return true
+}
+
+// roomFor reports whether one more flow leaves every port of path with a
+// first-pass share of at least the largest demand, computed as the solve
+// computes it.
+func (f *Fluid) roomFor(path []*fluidPort) bool {
+	for _, fp := range path {
+		if fp.capBits/float64(len(fp.flows)+1) < f.maxDemand {
+			return false
+		}
+	}
+	return true
+}
+
+// save records what a solved admission may overwrite. A port on several
+// paths is saved at each visit, and restoring it writes the same value each
+// time. A newcomer's port that no standing flow loads needs no saving:
+// detaching the newcomer leaves it at 0, as it was.
+func (f *Fluid) save() {
+	f.savedFast = f.fast
+	f.savedRates = f.savedRates[:0]
+	f.savedAllocs = f.savedAllocs[:0]
+	for _, fl := range f.flows {
+		f.savedRates = append(f.savedRates, fl.rate)
+		for _, fp := range fl.path {
+			f.savedAllocs = append(f.savedAllocs, fp.alloc)
+		}
+	}
+}
+
+// restore puts back what save recorded, once the newcomer is detached and
+// the flow set is the saved one again.
+func (f *Fluid) restore() {
+	f.fast = f.savedFast
+	k := 0
+	for i, fl := range f.flows {
+		fl.rate = f.savedRates[i]
+		for _, fp := range fl.path {
+			fp.alloc = f.savedAllocs[k]
+			k++
+		}
+	}
 }
 
 // NoteAQM records an AQM mark or drop on a tracked port. Called from the
@@ -325,10 +425,25 @@ func (f *Fluid) attach(fl *fluidFlow) {
 		fp.flows = append(fp.flows, fl)
 		fp.hasFluid = true
 	}
+	f.noteDemand(fl.demand)
+}
+
+// noteDemand folds one flow's demand into the largest-demand tally.
+func (f *Fluid) noteDemand(d float64) {
+	switch {
+	case d > f.maxDemand:
+		f.maxDemand, f.nMax = d, 1
+	case d == f.maxDemand:
+		f.nMax++
+	}
 }
 
 // detach removes a flow from the controller, preserving slice order so the
-// solver's float accumulation sequence stays deterministic.
+// solver's float accumulation sequence stays deterministic. Each path port's
+// allocation is re-summed from zero over its remaining flows' demands, never
+// subtracted, so in the fast regime it stays bit-equal to the solve's; out of
+// it, the solve or restore that follows every removal overwrites the loaded
+// ports, and an emptied port holds 0.
 func (f *Fluid) detach(fl *fluidFlow) {
 	for i, x := range f.flows {
 		if x == fl {
@@ -344,6 +459,33 @@ func (f *Fluid) detach(fl *fluidFlow) {
 			}
 		}
 		fp.hasFluid = len(fp.flows) > 0
+		fp.alloc = 0
+		for _, x := range fp.flows {
+			fp.alloc += x.demand
+		}
+	}
+	if fl.demand == f.maxDemand {
+		if f.nMax--; f.nMax == 0 {
+			f.maxDemand = 0
+			for _, x := range f.flows {
+				f.noteDemand(x.demand)
+			}
+		}
+	}
+}
+
+// solve runs the full solve and enters the fast regime when no port it
+// loaded is tight, so its first pass fixed every flow at its demand, and none
+// is at the threshold. A solved StartFlow checks only the newcomer's path
+// against the threshold, so a port off that path may sit over it.
+func (f *Fluid) solve() {
+	f.solveRates()
+	f.fast = true
+	for _, fp := range f.active {
+		if fp.capBits/float64(len(fp.flows)) < f.maxDemand || fp.alloc >= f.cfg.Threshold*fp.capBits {
+			f.fast = false
+			return
+		}
 	}
 }
 
@@ -452,8 +594,7 @@ func (f *Fluid) reschedule(now units.Time) {
 			continue
 		}
 		ctrl.Cancel(fl.ev)
-		target := fl
-		fl.ev = ctrl.Schedule(at, func() { f.complete(target) })
+		fl.ev = ctrl.ScheduleArg(at, f.completeArg, fl)
 	}
 }
 
@@ -481,10 +622,12 @@ func (f *Fluid) complete(fl *fluidFlow) {
 // rebalance re-solves after a membership change and promotes every port the
 // new allocation pushes over the threshold, iterating to a fixpoint (a
 // promotion removes flows, which can redirect capacity onto further ports).
-// Callers settle first.
+// A removal leaves the fast regime in force: flow counts and demand sums
+// only fall, so no port turns tight or reaches the threshold, and there is
+// nothing to solve or promote. Callers settle first.
 func (f *Fluid) rebalance(now units.Time) {
-	for {
-		f.solveRates()
+	for !f.fast {
+		f.solve()
 		var over []*fluidPort
 		for _, fp := range f.active {
 			if fp.alloc >= f.cfg.Threshold*fp.capBits {

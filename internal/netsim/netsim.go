@@ -861,17 +861,19 @@ func selectEgress(seed uint64, many []*Port, src, dst packet.Addr, now units.Tim
 	return primary, primary
 }
 
-// PathPorts resolves the deterministic egress-port path a flow from src to
-// dst traverses, mirroring Switch.Receive's forwarding decision at every hop
-// — including the ECMP hash pick on multipath route groups, so a flow-level
-// model and the packet engine agree on which ports a given flow loads. It
-// returns nil when either endpoint is not a host or the path is unroutable.
-func (n *Network) PathPorts(src, dst packet.Addr) []*Port {
+// PathPorts appends to buf the deterministic egress-port path a flow from
+// src to dst traverses, mirroring Switch.Receive's forwarding decision at
+// every hop — including the ECMP hash pick on multipath route groups, so a
+// flow-level model and the packet engine agree on which ports a given flow
+// loads. It returns the extended buffer, and false when either endpoint is
+// not a host or the path is unroutable. A caller that passes the returned
+// buffer back, truncated, stops allocating once it holds the longest path.
+func (n *Network) PathPorts(buf []*Port, src, dst packet.Addr) ([]*Port, bool) {
 	srcHost, ok := n.Node(src.Node).(*Host)
 	if !ok || srcHost.uplink == nil {
-		return nil
+		return buf, false
 	}
-	path := []*Port{srcHost.uplink}
+	path := append(buf, srcHost.uplink)
 	cur := srcHost.uplink.peer
 	// A leaf-spine fabric is at most host->leaf->spine->leaf->host; the hop
 	// bound only guards against accidental routing loops.
@@ -879,13 +881,13 @@ func (n *Network) PathPorts(src, dst packet.Addr) []*Port {
 		sw, ok := cur.(*Switch)
 		if !ok {
 			if h, isHost := cur.(*Host); isHost && h.id == dst.Node {
-				return path
+				return path, true
 			}
-			return nil
+			return path, false
 		}
 		g := sw.group(dst.Node)
 		if g == nil {
-			return nil
+			return path, false
 		}
 		// Mirror the congestion-aware reselection at the switch's own clock,
 		// so a flow-level model resolves the same egress the packet engine
@@ -894,5 +896,5 @@ func (n *Network) PathPorts(src, dst packet.Addr) []*Port {
 		path = append(path, p)
 		cur = p.peer
 	}
-	return nil
+	return path, false
 }
