@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mapred"
+	"repro/internal/netsim"
 	"repro/internal/units"
 )
 
@@ -20,7 +21,9 @@ func leafSpineSpec() cluster.Spec {
 // runDigest captures every result surface a shard count could perturb.
 type runDigest string
 
-func digestRun(t *testing.T, spec cluster.Spec, jobCfg mapred.JobConfig) runDigest {
+// digestRun runs the job and returns its digest and the number of fresh
+// packets the run's pools minted.
+func digestRun(t *testing.T, spec cluster.Spec, jobCfg mapred.JobConfig) (runDigest, uint64) {
 	t.Helper()
 	c := cluster.New(spec)
 	job := c.RunJob(jobCfg)
@@ -28,6 +31,7 @@ func digestRun(t *testing.T, spec cluster.Spec, jobCfg mapred.JobConfig) runDige
 		t.Fatalf("job incomplete at %d shards", spec.Shards)
 	}
 	lo, hi := job.ShuffleWindow()
+	fresh, _ := c.Topo.Net.PoolStats()
 	return runDigest(fmt.Sprintf(
 		"runtime=%d shuffle=[%d,%d] delivered=%d latency=%x/%x p99=%x enq=%v marked=%v drops=%v/%v tcp=%+v events=%d now=%d",
 		job.Runtime(), lo, hi,
@@ -35,24 +39,33 @@ func digestRun(t *testing.T, spec cluster.Spec, jobCfg mapred.JobConfig) runDige
 		c.Metrics.Latency.Mean(), c.Metrics.DataLatency.Mean(), c.Metrics.P99Latency(),
 		c.Metrics.Enqueued, c.Metrics.Marked, c.Metrics.EarlyDropped, c.Metrics.OverflowDropped,
 		*c.TCP, c.Events(), c.Now(),
-	))
+	)), fresh
 }
 
 // TestShardedBitIdentical is the tentpole contract: the sharded event loop
 // must reproduce the serial engine's results exactly, at any shard count.
+// It also bounds the packets the sharded pools mint: a packet is minted from
+// its sender's shard pool and released into its receiver's, and the barrier
+// balances the free lists, so a sharded run may mint at most one batch per
+// shard more than the serial run.
 func TestShardedBitIdentical(t *testing.T) {
 	jobCfg := mapred.TerasortConfig(64*units.MiB, 8)
 	jobCfg.BlockSize = 16 * units.MiB
 
 	spec := leafSpineSpec()
 	spec.Shards = 1
-	want := digestRun(t, spec, jobCfg)
+	want, serialFresh := digestRun(t, spec, jobCfg)
 
 	for _, shards := range []int{2, 4} {
 		spec := leafSpineSpec()
 		spec.Shards = shards
-		if got := digestRun(t, spec, jobCfg); got != want {
+		got, fresh := digestRun(t, spec, jobCfg)
+		if got != want {
 			t.Errorf("%d shards diverged from serial:\n serial: %s\n got:    %s", shards, want, got)
+		}
+		if limit := serialFresh + uint64(shards*netsim.PoolBatch); fresh > limit {
+			t.Errorf("%d shards minted %d fresh packets, over the serial run's %d plus %d per shard",
+				shards, fresh, serialFresh, netsim.PoolBatch)
 		}
 	}
 }
@@ -107,8 +120,8 @@ func TestShardedSelfDeterministic(t *testing.T) {
 	jobCfg.BlockSize = 16 * units.MiB
 	spec := leafSpineSpec()
 	spec.Shards = 2
-	a := digestRun(t, spec, jobCfg)
-	b := digestRun(t, spec, jobCfg)
+	a, _ := digestRun(t, spec, jobCfg)
+	b, _ := digestRun(t, spec, jobCfg)
 	if a != b {
 		t.Errorf("sharded run not self-deterministic:\n a: %s\n b: %s", a, b)
 	}

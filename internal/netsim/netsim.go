@@ -188,11 +188,16 @@ func normalizeObserver(o Observer) Observer {
 // Observer returns shard 0's observer.
 func (n *Network) Observer() Observer { return n.shards[0].observer }
 
+// PoolBatch is the free-list depth the barrier tops every shard's packet
+// pool up to (see balancePools).
+const PoolBatch = 256
+
 // DrainCrossShard schedules every buffered cross-shard handoff onto its
 // destination engine, in deterministic (arrival time, send time, source
 // shard, emission order) order, with the schedAt key backdated to the send
-// time. The caller is the group coordinator, at a barrier: every shard
-// worker is parked, so the single-writer lane discipline holds.
+// time, and then balances the shards' packet pools. The caller is the group
+// coordinator, at a barrier: every shard worker is parked, so the
+// single-writer lane discipline holds and every pool is the coordinator's.
 func (n *Network) DrainCrossShard() {
 	s := len(n.shards)
 	if s == 1 {
@@ -234,6 +239,27 @@ func (n *Network) DrainCrossShard() {
 			*e = laneEntry{}
 		}
 		n.drainBuf = buf[:0]
+	}
+	n.balancePools()
+}
+
+// balancePools tops up every shard pool holding fewer than PoolBatch free
+// packets from the pools holding more, in shard order. A packet is minted
+// from its sender's shard pool and released into its receiver's, so without
+// this a shard that mostly sends keeps allocating while one that mostly
+// receives piles up free packets. Packet IDs come from per-shard counters,
+// not from the pools, so moving free packets changes no result.
+func (n *Network) balancePools() {
+	for _, dst := range n.shards {
+		need := PoolBatch - dst.pool.Len()
+		for _, src := range n.shards {
+			if need <= 0 {
+				break
+			}
+			if spare := src.pool.Len() - PoolBatch; spare > 0 {
+				need -= src.pool.MoveTo(&dst.pool, min(need, spare))
+			}
+		}
 	}
 }
 

@@ -47,6 +47,21 @@ func (pl *Pool) Put(p *Packet) {
 	pl.free = append(pl.free, p)
 }
 
+// MoveTo moves up to n free packets from pl's free list to dst's and
+// returns how many it moved. A free packet carries nothing but its SACK
+// capacity, so which pool holds it changes no result.
+func (pl *Pool) MoveTo(dst *Pool, n int) int {
+	n = min(n, len(pl.free))
+	if n <= 0 {
+		return 0
+	}
+	rest := len(pl.free) - n
+	dst.free = append(dst.free, pl.free[rest:]...)
+	clear(pl.free[rest:])
+	pl.free = pl.free[:rest]
+	return n
+}
+
 // Stats returns (fresh allocations, free-list reuses).
 func (pl *Pool) Stats() (news, reuses uint64) { return pl.news, pl.reuses }
 

@@ -79,3 +79,32 @@ func TestPoolDistinctPacketsWhileLive(t *testing.T) {
 		t.Errorf("free list = %d, want 100", pl.Len())
 	}
 }
+
+func TestPoolMoveTo(t *testing.T) {
+	var src, dst Pool
+	var live []*Packet
+	for i := 0; i < 5; i++ {
+		live = append(live, src.Get())
+	}
+	for _, p := range live {
+		src.Put(p)
+	}
+	if got := src.MoveTo(&dst, 3); got != 3 || src.Len() != 2 || dst.Len() != 3 {
+		t.Fatalf("MoveTo(3) moved %d, left (%d, %d), want 3 and (2, 3)", got, src.Len(), dst.Len())
+	}
+	if got := src.MoveTo(&dst, 10); got != 2 || src.Len() != 0 || dst.Len() != 5 {
+		t.Fatalf("MoveTo(10) moved %d, left (%d, %d), want 2 and (0, 5)", got, src.Len(), dst.Len())
+	}
+	seen := map[*Packet]bool{}
+	for i := 0; i < 5; i++ {
+		seen[dst.Get()] = true
+	}
+	for _, p := range live {
+		if !seen[p] {
+			t.Fatal("a moved packet was lost")
+		}
+	}
+	if news, _ := dst.Stats(); news != 0 {
+		t.Errorf("destination minted %d packets while holding moved ones", news)
+	}
+}

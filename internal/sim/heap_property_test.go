@@ -126,6 +126,11 @@ type lockstep struct {
 
 	handles []lockstepHandle
 	timers  []lockstepTimer
+
+	// Full sibling groups seen at the checks whose least firing time is
+	// shared (which siftDown settles by the full key) and unique (settled
+	// by time alone).
+	sharedGroups, uniqueGroups int
 }
 
 type lockstepHandle struct {
@@ -285,6 +290,29 @@ func (d *lockstep) check(op int) {
 		}
 	}
 	checkRecords(d.t, e)
+	d.countGroups()
+}
+
+// countGroups classifies every full group of four siblings in the engine's
+// heap by whether its least firing time is shared.
+func (d *lockstep) countGroups() {
+	h := d.eng.heap
+	for first := 1; first+4 <= len(h); first += 4 {
+		least, n := h[first].at, 0
+		for _, c := range h[first : first+4] {
+			least = min(least, c.at)
+		}
+		for _, c := range h[first : first+4] {
+			if c.at == least {
+				n++
+			}
+		}
+		if n > 1 {
+			d.sharedGroups++
+		} else {
+			d.uniqueGroups++
+		}
+	}
 }
 
 // checkRecords requires every live lineage record's count to equal the
@@ -315,7 +343,9 @@ func checkRecords(t *testing.T, e *Engine) {
 // same order on both. Firing times, lineages and tokens come from small
 // domains, so the stream is full of ties: the run fails unless comparisons
 // were settled by a deep lineage element, by a token against seq order,
-// and by seq alone. This pins the 4-ary heap and the shared lineage
+// and by seq alone, and unless the heap held full sibling groups both with
+// a shared least firing time and with a unique one, the two routes of
+// siftDown's selection. This pins the 4-ary heap and the shared lineage
 // records to the full (at, lineage, token, seq) order.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
@@ -343,8 +373,12 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 			t.Errorf("seed %d: key coverage too thin: %d time ties, %d deep-lineage, %d token-against-seq, %d seq-only",
 				seed, h.atTies, h.deepLineage, h.tokenAgainstSeq, h.seqOnly)
 		}
-		t.Logf("seed %d: %d fired, %d time ties, %d deep-lineage, %d token-against-seq, %d seq-only",
-			seed, d.fired, h.atTies, h.deepLineage, h.tokenAgainstSeq, h.seqOnly)
+		if d.sharedGroups == 0 || d.uniqueGroups == 0 {
+			t.Errorf("seed %d: sibling groups too uniform: %d with a shared least time, %d with a unique one",
+				seed, d.sharedGroups, d.uniqueGroups)
+		}
+		t.Logf("seed %d: %d fired, %d time ties, %d deep-lineage, %d token-against-seq, %d seq-only, %d/%d groups with a shared/unique least time",
+			seed, d.fired, h.atTies, h.deepLineage, h.tokenAgainstSeq, h.seqOnly, d.sharedGroups, d.uniqueGroups)
 	}
 }
 

@@ -11,11 +11,15 @@
 // and configuration.
 //
 // The hot path is allocation-free in steady state. Pending events live in a
-// slab of reusable slots ordered by a 4-ary heap (better cache behavior than
-// a binary heap: ~half the levels, and the four children of a node share a
-// cache line). Each heap entry carries its event's firing time beside the
-// slot index, so a sift compares times without touching the slab and reads
-// a slot only on a tie. Lineages live in a slab of reference-counted
+// slab of reusable slots ordered by a 4-ary heap: about half the levels of
+// a binary heap, with the four children of a node in 64 contiguous bytes.
+// (Those bytes are not aligned to a cache line: a group starts at entry
+// 4i+1 of 16-byte entries, so it usually spans two lines.) Each heap entry
+// carries its event's firing time beside the slot index, so a sift compares
+// times without touching the slab and reads a slot only on a tie; a
+// sift-down picks the least of four children by time with conditional
+// moves, and uses the full key only when that time is shared (see
+// siftDown). Lineages live in a slab of reference-counted
 // records: every child one event schedules shares a single record, so a
 // schedule copies no lineage. Schedule hands out generation-counted Event
 // handles — plain values, never heap-allocated — so Cancel on a stale handle
@@ -694,6 +698,13 @@ func (e *Engine) siftUp(i int, x heapEntry) {
 
 // siftDown places x, which belongs at or below position i, maintaining the
 // back-links of every entry it moves.
+//
+// A full group of four children is settled by firing time alone, with
+// conditional moves instead of branches: the two pair winners, then the
+// winner of those. Only when two or more children share that least time
+// does the full key pick among the four. Under the full key the least child
+// is unique, so both routes pick the same one. The one partial group at the
+// end of the heap compares by the full key throughout.
 func (e *Engine) siftDown(i int, x heapEntry) {
 	h := e.heap
 	n := len(h)
@@ -703,11 +714,10 @@ func (e *Engine) siftDown(i int, x heapEntry) {
 			break
 		}
 		best := first
-		end := min(first+4, n)
-		for c := first + 1; c < end; c++ {
-			if e.heapLess(h[c], h[best]) {
-				best = c
-			}
+		if first+4 <= n {
+			best += e.leastOfFour((*[4]heapEntry)(h[first:]))
+		} else {
+			best += e.leastByKey(h[first:])
 		}
 		b := h[best]
 		if !e.heapLess(b, x) {
@@ -719,6 +729,54 @@ func (e *Engine) siftDown(i int, x heapEntry) {
 	}
 	h[i] = x
 	e.pos[x.slot] = int32(i)
+}
+
+// leastOfFour returns the index in c of the least of four sibling entries
+// (see siftDown).
+func (e *Engine) leastOfFour(c *[4]heapEntry) int {
+	a0, a1, a2, a3 := c[0].at, c[1].at, c[2].at, c[3].at
+	k01 := 0
+	if a1 < a0 {
+		k01 = 1
+	}
+	k23 := 2
+	if a3 < a2 {
+		k23 = 3
+	}
+	m01, m23 := min(a0, a1), min(a2, a3)
+	k := k01
+	if m23 < m01 {
+		k = k23
+	}
+	m := min(m01, m23)
+	ties := 0
+	if a0 == m {
+		ties++
+	}
+	if a1 == m {
+		ties++
+	}
+	if a2 == m {
+		ties++
+	}
+	if a3 == m {
+		ties++
+	}
+	if ties > 1 {
+		return e.leastByKey(c[:])
+	}
+	return k
+}
+
+// leastByKey returns the index in c of its least entry by the full key.
+func (e *Engine) leastByKey(c []heapEntry) int {
+	k := 0
+	for j := 1; j < len(c); j++ {
+		if e.heapLess(c[j], c[k]) {
+			k = j
+		}
+	}
+	return k
 }
 
 // ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/units"
@@ -363,6 +364,46 @@ func TestManyEventsStress(t *testing.T) {
 	}
 	if last != 1000001 {
 		t.Errorf("last event at %v", last)
+	}
+}
+
+// TestSteadyStateAllocatesNothing pins the event core at zero allocations
+// per event once its slabs have grown: the hold model of
+// BenchmarkEngineScheduleRun (every event schedules one child a uniform
+// 1–64 µs later, every eighth re-arms one of 64 timers, cancelling its
+// pending firing), plus an explicit schedule and cancel around each step.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	const pending, timers = 640, 64
+	eng := New()
+	rng := rand.New(rand.NewSource(1))
+	rto := make([]*Timer, timers)
+	for i := range rto {
+		rto[i] = NewTimer(eng, func() {})
+	}
+	fired := 0
+	var tick func(any)
+	tick = func(any) {
+		eng.AfterArg(units.Duration(1+rng.Intn(64_000))*units.Nanosecond, tick, nil)
+		if fired++; fired%8 == 0 {
+			rto[fired/8%timers].Reset(10 * units.Millisecond)
+		}
+	}
+	for i := 0; i < pending; i++ {
+		eng.AfterArg(units.Duration(1+rng.Intn(64_000))*units.Nanosecond, tick, nil)
+	}
+	step := func() {
+		ev := eng.After(units.Millisecond, func() {})
+		eng.Step()
+		eng.Cancel(ev)
+	}
+	for i := 0; i < 16*pending; i++ { // grow the slabs to steady state
+		step()
+	}
+	if n := testing.AllocsPerRun(10*pending, step); n != 0 {
+		t.Errorf("steady-state event allocates %v times, want 0", n)
+	}
+	if fired < 20*pending {
+		t.Fatalf("hold model stalled after %d events", fired)
 	}
 }
 

@@ -9,10 +9,14 @@ import (
 )
 
 // connKey identifies a connection on a stack: local port plus remote
-// address. (The local node is implicit: the stack's host.)
-type connKey struct {
-	localPort uint16
-	remote    packet.Addr
+// address, packed into one word (local port, remote node, remote port from
+// the high bits down) so the per-packet demux hashes a uint64. The local
+// node is implicit: the stack's host.
+type connKey uint64
+
+// makeConnKey packs a connection's identity into its key.
+func makeConnKey(localPort uint16, remote packet.Addr) connKey {
+	return connKey(uint64(localPort)<<48 | uint64(uint32(remote.Node))<<16 | uint64(remote.Port))
 }
 
 // Listener accepts inbound connections on a port.
@@ -101,7 +105,7 @@ func (s *Stack) allocPort(remote packet.Addr) uint16 {
 		if s.nextPort == 0 {
 			s.nextPort = 49152
 		}
-		if _, used := s.conns[connKey{p, remote}]; !used && p != 0 {
+		if _, used := s.conns[makeConnKey(p, remote)]; !used && p != 0 {
 			if _, listening := s.listeners[p]; !listening {
 				return p
 			}
@@ -114,14 +118,14 @@ func (s *Stack) allocPort(remote packet.Addr) uint16 {
 func (s *Stack) Dial(dst packet.Addr) *Conn {
 	local := packet.Addr{Node: s.host.ID(), Port: s.allocPort(dst)}
 	c := newConn(s, local, dst, true)
-	s.conns[connKey{local.Port, dst}] = c
+	s.conns[makeConnKey(local.Port, dst)] = c
 	c.startHandshake()
 	return c
 }
 
 // Deliver implements netsim.Protocol: demultiplex an arriving packet.
 func (s *Stack) Deliver(p *packet.Packet) {
-	key := connKey{p.Dst.Port, p.Src}
+	key := makeConnKey(p.Dst.Port, p.Src)
 	if c, ok := s.conns[key]; ok {
 		c.deliver(p)
 		return
@@ -145,7 +149,7 @@ func (s *Stack) Deliver(p *packet.Packet) {
 
 // remove forgets a closed connection.
 func (s *Stack) remove(c *Conn) {
-	delete(s.conns, connKey{c.local.Port, c.remote})
+	delete(s.conns, makeConnKey(c.local.Port, c.remote))
 }
 
 // tsqBlock parks a connection until the host egress queue drains below the
