@@ -109,10 +109,16 @@ type Config struct {
 	// matters for byte-mode AQMs, which is the paper's point.
 	AckWireSize units.ByteSize
 
-	// TSQLimit caps the bytes a single connection keeps in its host's
-	// egress queue, like Linux's TCP Small Queues
-	// (tcp_limit_output_bytes). Prevents a sender from flooding its own
-	// NIC during slow start. Zero disables.
+	// TSQLimit holds back a host's senders while its egress queue is full,
+	// after Linux's TCP Small Queues (tcp_limit_output_bytes), so that slow
+	// start cannot flood the sender's own NIC. Unlike Linux's per-socket
+	// limit, it is compared with the bytes queued on the host's whole
+	// uplink, from every connection: before each segment of new data, FIN
+	// or SACK-recovery retransmission, a connection that finds the queue at
+	// or above the limit parks until the uplink drains it below. One
+	// segment can take the queue past the limit; pure ACKs, handshake
+	// segments and the non-SACK retransmissions are never held. Zero
+	// disables.
 	TSQLimit units.ByteSize
 }
 

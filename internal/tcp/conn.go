@@ -96,7 +96,8 @@ type Conn struct {
 	closeQueued bool
 	finSeq      uint64 // sequence the FIN occupies, valid once queued
 	finSent     bool
-	tsqWaiting  bool // parked on the stack's TSQ queue
+	tsqWaiting  bool // parked on the stack's TSQ line
+	tsqChanged  bool // listed in the stack's tsqChanged
 
 	// Handshake.
 	synRetries int
@@ -361,6 +362,7 @@ func (c *Conn) becomeEstablished() {
 // Send queues n more payload bytes for transmission. Only byte counts are
 // modelled; there is no payload content.
 func (c *Conn) Send(n int) {
+	c.tsqTouch()
 	if n <= 0 {
 		return
 	}
@@ -375,6 +377,7 @@ func (c *Conn) Send(n int) {
 
 // Close queues an orderly FIN after all queued data.
 func (c *Conn) Close() {
+	c.tsqTouch()
 	if c.closeQueued {
 		return
 	}
@@ -488,11 +491,36 @@ func (c *Conn) nextHole() (start, end uint64, fin, ok bool) {
 	return pos, end, false, true
 }
 
-// trySend transmits retransmissions (during loss recovery) and new segments,
-// bounded by cwnd-vs-pipe.
+// trySend transmits what the window allows and, if the host egress queue
+// stopped it, parks the connection until the queue drains.
 func (c *Conn) trySend() {
+	if c.send() {
+		c.stack.tsqBlock(c)
+	}
+}
+
+// canSend reports whether send would get past its window check: the
+// connection is established, not done, and has at least a byte of window
+// over the pipe.
+func (c *Conn) canSend() bool {
+	return c.Established() && c.state != StateDone && c.window()-c.pipe() >= 1
+}
+
+// tsqTouch lists a parked connection for the next TSQ wake's re-check. Every
+// handler that can change what canSend reads calls it first (see tsqWake).
+func (c *Conn) tsqTouch() {
+	if c.tsqWaiting && !c.tsqChanged {
+		c.tsqChanged = true
+		c.stack.tsqChanged = append(c.stack.tsqChanged, c)
+	}
+}
+
+// send transmits retransmissions (during loss recovery) and new segments,
+// bounded by cwnd-vs-pipe. It reports whether it stopped at the TSQ limit
+// with window left; canSend mirrors its checks before that one.
+func (c *Conn) send() (atLimit bool) {
 	if !c.Established() || c.state == StateDone {
-		return
+		return false
 	}
 	if c.sndNxt == 0 {
 		c.sndNxt = 1 // SYN consumed sequence 0
@@ -500,13 +528,12 @@ func (c *Conn) trySend() {
 	for {
 		budget := c.window() - c.pipe()
 		if budget < 1 {
-			return
+			return false
 		}
 		// TSQ: don't flood the local NIC queue; resume when it drains.
 		if c.cfg.TSQLimit > 0 {
 			if up := c.stack.host.Uplink(); up != nil && up.Queue().BytesQueued() >= c.cfg.TSQLimit {
-				c.stack.tsqBlock(c)
-				return
+				return true
 			}
 		}
 		// 1. Fill holes first while recovering (SACK mode only; legacy
@@ -534,7 +561,7 @@ func (c *Conn) trySend() {
 				n = c.cfg.MSS
 			}
 			if float64(n) > budget && c.flightSize() > 0 {
-				return // don't emit runt segments while data is in flight
+				return false // don't emit runt segments while data is in flight
 			}
 			c.sendSegment(c.sndNxt, n, false)
 			c.sndNxt += uint64(n)
@@ -548,9 +575,9 @@ func (c *Conn) trySend() {
 			if c.state == StateEstablished {
 				c.state = StateFinSent
 			}
-			return
+			return false
 		}
-		return
+		return false
 	}
 }
 
@@ -596,6 +623,7 @@ func (c *Conn) enterFastRecovery() {
 // deem everything unsacked lost, and rebuild from the oldest hole. This is
 // the catastrophic event the paper attributes to whole-window ACK loss.
 func (c *Conn) onRTO() {
+	c.tsqTouch()
 	if c.flightSize() == 0 {
 		return
 	}

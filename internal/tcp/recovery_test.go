@@ -249,26 +249,37 @@ func TestNonSACKFallbackStillCompletes(t *testing.T) {
 }
 
 func TestTSQBoundsHostQueue(t *testing.T) {
-	// With TSQ enabled (default), a single bulk sender must never hold
-	// more than the limit (plus one segment) in its own NIC queue.
-	tn := buildNet(t, 2, tcp.Reno, droptailFactory(4096))
-	tn.stacks[1].Listen(80, func(c *tcp.Conn) {})
-	c := tn.stacks[0].Dial(addrOf(tn, 1, 80))
-	c.Send(8 << 20)
-	c.Close()
-	limit := tn.stacks[0].Config().TSQLimit
-	hostQ := tn.cluster.Hosts[0].Uplink().Queue()
-	maxSeen := units.ByteSize(0)
-	for tn.eng.Step() {
-		if b := hostQ.BytesQueued(); b > maxSeen {
-			maxSeen = b
+	// With TSQ enabled (default), bulk senders on one host must never hold
+	// more than the limit (plus one segment) in their NIC queue, whether
+	// one sender fills it or 16 share it (most of them parked at a time),
+	// and every sender must finish.
+	for _, senders := range []int{1, 16} {
+		tn := buildNet(t, 1+senders, tcp.Reno, droptailFactory(4096))
+		done := 0
+		for i := 1; i <= senders; i++ {
+			tn.stacks[i].Listen(80, func(c *tcp.Conn) {})
+			c := tn.stacks[0].Dial(addrOf(tn, i, 80))
+			c.OnClosed = func() { done++ }
+			c.Send(8 << 20 / senders)
+			c.Close()
 		}
-	}
-	if maxSeen > limit+1500 {
-		t.Errorf("host queue reached %v, limit %v", maxSeen, limit)
-	}
-	if maxSeen == 0 {
-		t.Error("host queue never used")
+		limit := tn.stacks[0].Config().TSQLimit
+		hostQ := tn.cluster.Hosts[0].Uplink().Queue()
+		maxSeen := units.ByteSize(0)
+		for tn.eng.Step() {
+			if b := hostQ.BytesQueued(); b > maxSeen {
+				maxSeen = b
+			}
+		}
+		if maxSeen > limit+1500 {
+			t.Errorf("%d senders: host queue reached %v, limit %v", senders, maxSeen, limit)
+		}
+		if maxSeen == 0 {
+			t.Errorf("%d senders: host queue never used", senders)
+		}
+		if done != senders {
+			t.Errorf("%d of %d senders finished", done, senders)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -36,13 +37,14 @@ type Stack struct {
 	conns     map[connKey]*Conn
 	nextPort  uint16
 
-	// TSQ backpressure: connections paused because the host egress queue
-	// holds too many bytes, woken in FIFO order as packets serialize.
-	// tsqSpare is the previous wake's batch buffer, recycled so the
+	// TSQ backpressure (see tsqWake): tsqLine holds the connections parked
+	// because the host egress queue is at the limit, in FIFO order;
+	// tsqChanged holds the parked connections that ran a handler, or
+	// parked, since the last wake. Both buffers are reused, so the
 	// park/wake cycle allocates nothing in steady state.
-	tsqQueue  []*Conn
-	tsqSpare  []*Conn
-	tsqHooked bool
+	tsqLine    []*Conn
+	tsqChanged []*Conn
+	tsqHooked  bool
 
 	stats *Stats
 }
@@ -127,6 +129,7 @@ func (s *Stack) Dial(dst packet.Addr) *Conn {
 func (s *Stack) Deliver(p *packet.Packet) {
 	key := makeConnKey(p.Dst.Port, p.Src)
 	if c, ok := s.conns[key]; ok {
+		c.tsqTouch()
 		c.deliver(p)
 		return
 	}
@@ -152,18 +155,17 @@ func (s *Stack) remove(c *Conn) {
 	delete(s.conns, makeConnKey(c.local.Port, c.remote))
 }
 
-// tsqBlock parks a connection until the host egress queue drains below the
-// TSQ limit. The first use lazily hooks the uplink's completion callback.
+// tsqBlock parks a connection at the tail of the TSQ line until the host
+// egress queue drains below the limit. The first use lazily hooks the
+// uplink's completion callback. Only send's caller parks, after send found
+// an uplink at the limit, so the uplink exists.
 func (s *Stack) tsqBlock(c *Conn) {
 	if c.tsqWaiting {
 		return
 	}
 	if !s.tsqHooked {
-		up := s.host.Uplink()
-		if up == nil {
-			return // no uplink yet: nothing to wait for, caller proceeds
-		}
 		s.tsqHooked = true
+		up := s.host.Uplink()
 		prev := up.OnSent
 		up.OnSent = func(p *packet.Packet) {
 			if prev != nil {
@@ -173,26 +175,66 @@ func (s *Stack) tsqBlock(c *Conn) {
 		}
 	}
 	c.tsqWaiting = true
-	s.tsqQueue = append(s.tsqQueue, c)
+	s.tsqLine = append(s.tsqLine, c)
+	c.tsqTouch() // its handler may change it after it parks
 }
 
-// tsqWake resumes every parked connection, in FIFO order. Connections that
-// are still over the limit re-park themselves (into the recycled spare
-// buffer, so neither side of the swap allocates).
+// tsqWake runs each time the uplink finishes a packet. Its result is that
+// of resuming every parked connection in FIFO order, each one re-parking at
+// the tail if it still finds the queue at the limit, but it calls only the
+// connections that find the queue under the limit:
+//
+//   - It resumes connections from the front only while the uplink's queue
+//     is under the limit. The queue cannot shrink during a wake: portTxDone
+//     calls OnSent before transmitNext, with the transmitter still busy, so
+//     a send inside the wake only enqueues; a port dequeues only when its
+//     transmitter frees, or in Send when it is idle, and an idle port's
+//     queue is empty; and no qdisc's Enqueue removes a queued packet. So once
+//     one resumed connection finds the queue at the limit, every later one
+//     in this wake would too.
+//   - A connection that stops at the limit with window left stays first in
+//     line: a full resume would have re-parked it first, ahead of everyone it
+//     had not resumed yet.
+//   - Everyone behind it stays in place without being called. A full resume
+//     would re-park each of them in the same order (window left), or drop it
+//     from the line (not established, done, or window()-pipe() < 1). That
+//     outcome reads only the connection's own fields, which change only in
+//     its own handlers: Stack.Deliver, the RTO timer, Send, Close and this
+//     resume. The delayed-ACK timer touches none of them (flushDelayedAck
+//     only sends a pure ACK), and the SYN timer is stopped for good once a
+//     connection is established, as every parked one is. Those handlers and
+//     tsqBlock list a parked connection in tsqChanged (tsqTouch), so one that
+//     is not listed can still send, and the wake re-checks only the listed
+//     ones.
+//
+// Every connection holds a copy of the stack's config, so s.cfg.TSQLimit is
+// the limit send compares with. The list is empty whenever the line is: a
+// connection is listed only while parked, and only a wake un-parks it.
 func (s *Stack) tsqWake() {
-	if len(s.tsqQueue) == 0 {
+	if len(s.tsqLine) == 0 {
 		return
 	}
-	batch := s.tsqQueue
-	s.tsqQueue = s.tsqSpare[:0]
-	for _, c := range batch {
+	q, limit := s.host.Uplink().Queue(), s.cfg.TSQLimit
+	n := 0 // connections resumed that left the line
+	for n < len(s.tsqLine) && q.BytesQueued() < limit {
+		c := s.tsqLine[n]
+		if c.send() {
+			break // stopped at the limit: stays first
+		}
 		c.tsqWaiting = false
-		c.trySend()
+		n++
 	}
-	for i := range batch {
-		batch[i] = nil
+	s.tsqLine = slices.Delete(s.tsqLine, 0, n)
+	for i, c := range s.tsqChanged {
+		s.tsqChanged[i] = nil
+		c.tsqChanged = false
+		if c.tsqWaiting && !c.canSend() {
+			c.tsqWaiting = false
+			k := slices.Index(s.tsqLine, c)
+			s.tsqLine = slices.Delete(s.tsqLine, k, k+1)
+		}
 	}
-	s.tsqSpare = batch[:0]
+	s.tsqChanged = s.tsqChanged[:0]
 }
 
 // ConnCount returns the number of live connections (for tests).
