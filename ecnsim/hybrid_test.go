@@ -25,10 +25,10 @@ func hybridMatrixOpts(extra ...Option) []Option {
 }
 
 // TestHybridThreshold0Exactness pins the hybrid engine's exactness mode:
-// Hybrid() with FluidThreshold(0) admits nothing fluidly, installs no
-// observer tee, and must therefore serialize byte-identical ResultSets to the
-// pure packet engine — on the single-switch shuffle and on the leaf-spine
-// fabric alike.
+// Hybrid() with FluidThreshold(0) admits nothing fluidly, subscribes no
+// fluid observer, and must therefore serialize byte-identical ResultSets to
+// the pure packet engine — on the single-switch shuffle and on the
+// leaf-spine fabric alike.
 func TestHybridThreshold0Exactness(t *testing.T) {
 	run := func(hybrid bool) []byte {
 		t.Helper()

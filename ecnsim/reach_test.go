@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"repro/internal/experiment"
+	"repro/internal/figures"
 )
 
 // reachRun runs one configuration and returns its fingerprint and a byte
@@ -70,13 +73,14 @@ func TestOptionsReachTheRun(t *testing.T) {
 		opts []Option
 	}
 	bases := map[string]base{
-		"terasort":        {scenarioRows("terasort"), red(200*time.Microsecond, TestScale())},
-		"mixed":           {scenarioRows("mixed"), red(100*time.Microsecond, TestScale())},
-		"mixed-leafspine": {scenarioRows("mixed"), red(100*time.Microsecond, TestScale(), Racks(2), Spines(2))},
-		"incast":          {scenarioRows("incast"), red(200*time.Microsecond, Nodes(9), FlowSize(1<<20))},
-		"Figure1-200us":   {figure1Values, red(200*time.Microsecond, TestScale())},
-		"Figure1-100us":   {figure1Values, red(100*time.Microsecond, TestScale())},
-		"WriteDropTrace":  {dropTrace, red(100*time.Microsecond, TestScale())},
+		"terasort":                 {scenarioRows("terasort"), red(200*time.Microsecond, TestScale())},
+		"mixed":                    {scenarioRows("mixed"), red(100*time.Microsecond, TestScale())},
+		"mixed-leafspine":          {scenarioRows("mixed"), red(100*time.Microsecond, TestScale(), Racks(2), Spines(2))},
+		"incast":                   {scenarioRows("incast"), red(200*time.Microsecond, Nodes(9), FlowSize(1<<20))},
+		"Figure1-200us":            {figure1Values, red(200*time.Microsecond, TestScale())},
+		"Figure1-100us":            {figure1Values, red(100*time.Microsecond, TestScale())},
+		"WriteDropTrace":           {dropTrace, red(100*time.Microsecond, TestScale())},
+		"WriteDropTrace-leafspine": {dropTrace, red(100*time.Microsecond, TestScale(), Racks(2), Spines(2))},
 	}
 	cases := []struct {
 		base, name string
@@ -94,6 +98,8 @@ func TestOptionsReachTheRun(t *testing.T) {
 		{"Figure1-200us", "Racks", Racks(2)},
 		{"Figure1-100us", "DisableDelAck", DisableDelAck(true)},
 		{"WriteDropTrace", "DisableDelAck", DisableDelAck(true)},
+		{"WriteDropTrace", "Notify", Notify()},
+		{"WriteDropTrace-leafspine", "Notify", Notify()},
 	}
 	type output struct {
 		fp  string
@@ -116,5 +122,29 @@ func TestOptionsReachTheRun(t *testing.T) {
 				t.Errorf("the option moved nothing the run produced:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestDropTraceKeepsHybridPromotions: the drop tracer observes beside the
+// cluster's own observers, so a traced hybrid run of the Figure 1 setup
+// executes the same events and promotes the same ports as the untraced run.
+func TestDropTraceKeepsHybridPromotions(t *testing.T) {
+	opts := []Option{Queue(RED), TargetDelay(100 * time.Microsecond), Seed(1), TestScale(), Racks(4), Spines(2), Hybrid()}
+	tr, traced, err := traceDrops(50, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := figures.Figure1Config(mustCluster(t, opts...).experimentConfig())
+	plain := experiment.Build(cfg)
+	plain.RunJob(cfg.Scale.Terasort())
+
+	if got, want := traced.Fluid.Stats().Promotions, plain.Fluid.Stats().Promotions; got != want || want == 0 {
+		t.Errorf("traced run promoted %d ports, untraced %d (want equal and nonzero)", got, want)
+	}
+	if got, want := traced.Events(), plain.Events(); got != want {
+		t.Errorf("traced run executed %d events, untraced %d", got, want)
+	}
+	if tr.Total() == 0 {
+		t.Error("the tracer recorded no drop")
 	}
 }

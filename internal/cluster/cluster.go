@@ -491,33 +491,31 @@ func New(spec Spec) *Cluster {
 			c.Notify.RegisterHost(h)
 		}
 	}
-	// hybridObs tees AQM verdicts into the fluid controller, and enqueue
-	// verdicts into the congestion notifier. With both inactive no tee is
-	// installed at all — the observer chain is byte-for-byte the packet
-	// engine's.
-	hybridObs := func(shard int, inner netsim.Observer) netsim.Observer {
-		if c.Fluid.Active() {
-			inner = &hybridTee{inner: inner, fluid: c.Fluid, shard: shard}
-		}
-		if c.Notify != nil {
-			inner = &notifyTee{inner: inner, notify: c.Notify, shard: shard}
-		}
-		return inner
-	}
-
-	if group.Serial() {
-		tc.Net.SetObserver(hybridObs(0, col))
-	} else {
-		// Each shard observes through its own view: order-free counters stay
-		// shard-local, order-sensitive delivery observations are buffered and
-		// replayed into the collector in serial order at every barrier, right
-		// after the cross-shard packet lanes drain.
-		c.shardViews = make([]*metrics.ShardView, shards)
-		for i, e := range engines {
+	// Each shard observes through its own metrics view. A serial run's view
+	// writes the collector directly; a sharded run's keep order-free
+	// counters shard-local and buffer deliveries, which are replayed into
+	// the collector in serial order at every barrier, right after the
+	// cross-shard packet lanes drain.
+	c.shardViews = make([]*metrics.ShardView, shards)
+	for i, e := range engines {
+		if group.Serial() {
+			c.shardViews[i] = col.View()
+		} else {
 			c.shardViews[i] = col.ShardView(e)
-			tc.Net.SetShardObserver(i, hybridObs(i, c.shardViews[i]))
 		}
+		tc.Net.Shard(i).Subscribe(c.shardViews[i])
+	}
+	if !group.Serial() {
 		group.OnBarrier = c.onBarrier
+	}
+	// The fluid controller sees AQM verdicts and the notifier every enqueue
+	// verdict, after the metrics view and in that order, so the control
+	// events they route keep their order. Off, neither subscribes.
+	if c.Fluid.Active() {
+		tc.Net.Subscribe(c.Fluid)
+	}
+	if c.Notify != nil {
+		tc.Net.Subscribe(c.Notify)
 	}
 
 	tcpCfg := tcp.DefaultConfig(spec.Transport)
@@ -574,47 +572,6 @@ func (c *Cluster) mergeShardState() {
 	for _, s := range c.shardStats {
 		s.AddInto(c.TCP)
 	}
-}
-
-// hybridTee wraps one shard's observer to feed AQM verdicts into the fluid
-// controller as they happen, in shard context: any mark or drop on a tracked
-// port opens the port's episode window and (if fluid flows traverse it)
-// routes a promotion control event at the verdict's own timestamp.
-type hybridTee struct {
-	inner netsim.Observer
-	fluid *flow.Fluid
-	shard int
-}
-
-func (t *hybridTee) PacketEnqueued(now units.Time, port *netsim.Port, p *packet.Packet, v qdisc.Verdict) {
-	t.inner.PacketEnqueued(now, port, p, v)
-	if v != qdisc.Enqueued {
-		t.fluid.NoteAQM(t.shard, now, port)
-	}
-}
-
-func (t *hybridTee) PacketDelivered(now units.Time, p *packet.Packet) {
-	t.inner.PacketDelivered(now, p)
-}
-
-// notifyTee wraps one shard's observer to feed every enqueue verdict into the
-// congestion notifier in shard context: the notifier checks the port's
-// occupancy against its threshold and, on a crossing, records the source and
-// routes one notification control event at wire delay. Not installed when
-// Notify is off, keeping the off-chain byte-identical.
-type notifyTee struct {
-	inner  netsim.Observer
-	notify *netsim.Notifier
-	shard  int
-}
-
-func (t *notifyTee) PacketEnqueued(now units.Time, port *netsim.Port, p *packet.Packet, v qdisc.Verdict) {
-	t.inner.PacketEnqueued(now, port, p, v)
-	t.notify.NoteEnqueue(t.shard, now, port, p)
-}
-
-func (t *notifyTee) PacketDelivered(now units.Time, p *packet.Packet) {
-	t.inner.PacketDelivered(now, p)
 }
 
 // ScheduleControl registers fn as a globally-serialized control event at

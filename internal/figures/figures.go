@@ -5,7 +5,6 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -277,6 +276,5 @@ func SortedLabels(s *experiment.Sweep, buf cluster.BufferDepth) []string {
 			out = append(out, l)
 		}
 	}
-	sort.Strings(out[len(out):]) // keep fixed order; no-op, documents intent
 	return out
 }

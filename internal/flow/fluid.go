@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -114,7 +115,6 @@ type fluidFlow struct {
 // fluidPort is the controller's view of one tracked egress port.
 type fluidPort struct {
 	port    *netsim.Port
-	shard   int
 	capBits float64 // full link rate, bits/sec
 
 	// Control-context state: mutated only inside globally-serialized events.
@@ -123,16 +123,16 @@ type fluidPort struct {
 	promotedAt    units.Time
 	demotePending bool
 
-	// Episode state written by the owning shard during parallel windows (the
-	// observer tee) and read/reset in control context. The barrier protocol
+	// Episode state written by the owning shard during parallel windows (as
+	// its observer) and read/reset in control context. The barrier protocol
 	// parks every worker before a control event runs, so these cross the
 	// goroutine boundary only through that synchronization.
 	aqmSeen  bool
 	aqmLast  units.Time
 	reported bool // a promotion control event is already in flight
 
-	// hasFluid mirrors len(flows) > 0 for the shard-side tee: written only in
-	// control context, read by the owning shard during windows.
+	// hasFluid mirrors len(flows) > 0 for the shard-side observer: written
+	// only in control context, read by the owning shard during windows.
 	hasFluid bool
 
 	// alloc is the fluid rate allocated on the port. In the fast regime it
@@ -232,14 +232,7 @@ func (f *Fluid) Track(p *netsim.Port) {
 	if _, ok := f.ports[p]; ok {
 		return
 	}
-	shard := 0
-	switch o := p.Owner().(type) {
-	case *netsim.Host:
-		shard = o.Shard().ID()
-	case *netsim.Switch:
-		shard = o.Shard().ID()
-	}
-	f.ports[p] = &fluidPort{port: p, shard: shard, capBits: float64(p.Link().Rate)}
+	f.ports[p] = &fluidPort{port: p, capBits: float64(p.Link().Rate)}
 }
 
 // StartFlow offers a transfer of size bytes from src to dst to the fluid
@@ -366,12 +359,16 @@ func (f *Fluid) restore() {
 	}
 }
 
-// NoteAQM records an AQM mark or drop on a tracked port. Called from the
-// owning shard's observer tee (shard context): it updates the port's episode
-// clock and, if fluid flows currently traverse the port, routes exactly one
-// promotion control event at the mark's own timestamp — heap-ordered before
-// any later fluid completion, so no fluid flow outlives the episode's start.
-func (f *Fluid) NoteAQM(shard int, now units.Time, port *netsim.Port) {
+// PacketEnqueued implements netsim.Observer: it records an AQM mark or drop
+// on a tracked port, in the port's own shard context. It updates the port's
+// episode clock and, if fluid flows currently traverse the port, routes
+// exactly one promotion control event at the mark's own timestamp —
+// heap-ordered before any later fluid completion, so no fluid flow outlives
+// the episode's start.
+func (f *Fluid) PacketEnqueued(now units.Time, port *netsim.Port, _ *packet.Packet, v qdisc.Verdict) {
+	if v == qdisc.Enqueued {
+		return
+	}
 	fp := f.ports[port]
 	if fp == nil {
 		return
@@ -383,9 +380,13 @@ func (f *Fluid) NoteAQM(shard int, now units.Time, port *netsim.Port) {
 		return
 	}
 	fp.reported = true
-	eng := f.g.Shards()[shard]
-	f.g.ScheduleControl(shard, now.Add(f.cfg.Lag), eng.ChildLineage(), func() { f.aqmPromote(fp) })
+	sh := port.Shard()
+	f.g.ScheduleControl(sh.ID(), now.Add(f.cfg.Lag), sh.Eng().ChildLineage(), func() { f.aqmPromote(fp) })
 }
+
+// PacketDelivered implements netsim.Observer; deliveries do not concern the
+// controller.
+func (f *Fluid) PacketDelivered(units.Time, *packet.Packet) {}
 
 // episodeActive reports whether the port saw an AQM event within the
 // hysteresis window (control context; the shard-written clock is stable
@@ -394,7 +395,7 @@ func (f *Fluid) episodeActive(fp *fluidPort, now units.Time) bool {
 	return fp.aqmSeen && now.Sub(fp.aqmLast) < f.cfg.Hysteresis
 }
 
-// aqmPromote is the control event a NoteAQM routes.
+// aqmPromote is the control event PacketEnqueued routes.
 func (f *Fluid) aqmPromote(fp *fluidPort) {
 	fp.reported = false
 	now := f.g.Ctrl().Now()

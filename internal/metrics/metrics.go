@@ -65,8 +65,32 @@ func (t Tier) String() string {
 	return "tier?"
 }
 
-// Collector implements netsim.Observer and aggregates everything the
-// experiments report. Construct with New, install via Network.SetObserver.
+// verdicts counts Enqueue verdicts by packet kind.
+type verdicts struct {
+	Enqueued        KindCounts
+	Marked          KindCounts
+	EarlyDropped    KindCounts
+	OverflowDropped KindCounts
+}
+
+// add counts one verdict on a packet of kind k.
+func (vc *verdicts) add(k packet.Kind, v qdisc.Verdict) {
+	switch v {
+	case qdisc.Enqueued:
+		vc.Enqueued.Add(k)
+	case qdisc.EnqueuedMarked:
+		vc.Enqueued.Add(k)
+		vc.Marked.Add(k)
+	case qdisc.DroppedEarly:
+		vc.EarlyDropped.Add(k)
+	case qdisc.DroppedOverflow:
+		vc.OverflowDropped.Add(k)
+	}
+}
+
+// Collector aggregates everything the experiments report. Construct with
+// New; it observes the fabric through its views (View for a serial run, one
+// ShardView per shard of a sharded run), each subscribed to its shard.
 type Collector struct {
 	// Latency is the per-packet end-to-end latency distribution in seconds,
 	// from first transmission at the source host to final delivery.
@@ -76,10 +100,7 @@ type Collector struct {
 
 	// Enqueued / Marked / EarlyDropped / OverflowDropped count Enqueue
 	// verdicts by packet kind across all observed ports.
-	Enqueued        KindCounts
-	Marked          KindCounts
-	EarlyDropped    KindCounts
-	OverflowDropped KindCounts
+	verdicts
 
 	// DeliveredPackets counts final deliveries.
 	DeliveredPackets uint64
@@ -93,12 +114,6 @@ type Collector struct {
 	// dense (the fabric hands them out sequentially), so a grow-on-demand
 	// slice replaces the map a hash per delivered packet used to cost.
 	deliveredPayload []units.ByteSize
-
-	// occupancy tracks the time-weighted queue length of each watched port.
-	// Keyed by port pointer: the per-enqueue lookup hashes a word instead
-	// of a label string; QueueOccupancy exposes the label view.
-	occupancy   map[*netsim.Port]*stats.TimeWeighted
-	watchQueues bool
 
 	// Per-tier occupancy aggregation: every port registered with
 	// SetPortTier gets its own time-weighted tracker, observed at that
@@ -134,12 +149,8 @@ func New(reservoir int, seed uint64) *Collector {
 	return &Collector{
 		Latency:     newSample(0xa11),
 		DataLatency: newSample(0xda7a),
-		occupancy:   make(map[*netsim.Port]*stats.TimeWeighted),
 	}
 }
-
-// WatchQueues enables per-port occupancy tracking (small overhead).
-func (c *Collector) WatchQueues() { c.watchQueues = true }
 
 // WatchTiers enables per-tier occupancy tracking over the ports registered
 // with SetPortTier (small overhead; off by default so the benchmark-gated
@@ -194,43 +205,9 @@ func (c *Collector) TierOccupancyAt(t Tier, atSeconds float64) float64 {
 	return sum
 }
 
-// PacketEnqueued implements netsim.Observer.
-func (c *Collector) PacketEnqueued(now units.Time, port *netsim.Port, p *packet.Packet, v qdisc.Verdict) {
-	k := p.Kind()
-	switch v {
-	case qdisc.Enqueued:
-		c.Enqueued.Add(k)
-	case qdisc.EnqueuedMarked:
-		c.Enqueued.Add(k)
-		c.Marked.Add(k)
-	case qdisc.DroppedEarly:
-		c.EarlyDropped.Add(k)
-	case qdisc.DroppedOverflow:
-		c.OverflowDropped.Add(k)
-	}
-	if c.watchQueues {
-		w := c.occupancy[port]
-		if w == nil {
-			w = &stats.TimeWeighted{}
-			c.occupancy[port] = w
-		}
-		w.Observe(now.Seconds(), float64(port.Queue().Len()))
-	}
-	if c.watchTiers {
-		if w, ok := c.tierPortOcc[port]; ok {
-			w.Observe(now.Seconds(), float64(port.Queue().Len()))
-		}
-	}
-}
-
-// PacketDelivered implements netsim.Observer.
-func (c *Collector) PacketDelivered(now units.Time, p *packet.Packet) {
-	c.deliverAt(now, p.SentAt, p.Payload, p.Dst.Node)
-}
-
-// deliverAt is the delivery accounting shared by the serial observer path
-// and the sharded replay: the reservoir RNG draw and the float accumulation
-// order depend only on the sequence of these calls, so replaying buffered
+// deliverAt is the delivery accounting shared by the serial view and the
+// sharded replay: the reservoir RNG draw and the float accumulation order
+// depend only on the sequence of these calls, so replaying buffered
 // deliveries in the serial engine's order reproduces the serial statistics
 // bit for bit.
 func (c *Collector) deliverAt(now, sentAt units.Time, payload int, dst packet.NodeID) {
@@ -276,16 +253,6 @@ func (c *Collector) TotalDeliveredPayload() units.ByteSize {
 		total += b
 	}
 	return total
-}
-
-// QueueOccupancy returns the watched ports' time-weighted occupancy
-// trackers keyed by port label (empty unless WatchQueues was enabled).
-func (c *Collector) QueueOccupancy() map[string]*stats.TimeWeighted {
-	out := make(map[string]*stats.TimeWeighted, len(c.occupancy))
-	for port, w := range c.occupancy {
-		out[port.Label] = w
-	}
-	return out
 }
 
 // MeanLatency returns the average end-to-end per-packet latency.

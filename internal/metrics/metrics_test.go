@@ -35,13 +35,14 @@ func port(t *testing.T) *netsim.Port {
 
 func TestVerdictCounting(t *testing.T) {
 	c := New(0, 1)
+	v := c.View()
 	p := port(t)
-	c.PacketEnqueued(0, p, data(1, 100), qdisc.Enqueued)
-	c.PacketEnqueued(0, p, data(1, 100), qdisc.EnqueuedMarked)
-	c.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
-	c.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
-	c.PacketEnqueued(0, p, syn(), qdisc.DroppedEarly)
-	c.PacketEnqueued(0, p, data(1, 100), qdisc.DroppedOverflow)
+	v.PacketEnqueued(0, p, data(1, 100), qdisc.Enqueued)
+	v.PacketEnqueued(0, p, data(1, 100), qdisc.EnqueuedMarked)
+	v.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
+	v.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
+	v.PacketEnqueued(0, p, syn(), qdisc.DroppedEarly)
+	v.PacketEnqueued(0, p, data(1, 100), qdisc.DroppedOverflow)
 
 	if got := c.Enqueued.Get(packet.KindData); got != 2 {
 		t.Errorf("enqueued data = %d, want 2", got)
@@ -63,14 +64,15 @@ func TestVerdictCounting(t *testing.T) {
 
 func TestAckDropShare(t *testing.T) {
 	c := New(0, 1)
+	v := c.View()
 	p := port(t)
 	if c.AckDropShare() != 0 {
 		t.Error("share non-zero with no drops")
 	}
-	c.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
-	c.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
-	c.PacketEnqueued(0, p, ack(), qdisc.DroppedOverflow)
-	c.PacketEnqueued(0, p, data(1, 100), qdisc.DroppedOverflow)
+	v.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
+	v.PacketEnqueued(0, p, ack(), qdisc.DroppedEarly)
+	v.PacketEnqueued(0, p, ack(), qdisc.DroppedOverflow)
+	v.PacketEnqueued(0, p, data(1, 100), qdisc.DroppedOverflow)
 	if got := c.AckDropShare(); got != 0.75 {
 		t.Errorf("AckDropShare = %g, want 0.75", got)
 	}
@@ -78,13 +80,14 @@ func TestAckDropShare(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	c := New(0, 1)
+	v := c.View()
 	d := data(1, 100)
 	d.SentAt = units.Time(100 * units.Microsecond)
-	c.PacketDelivered(units.Time(300*units.Microsecond), d)
+	v.PacketDelivered(units.Time(300*units.Microsecond), d)
 
 	a := ack()
 	a.SentAt = units.Time(100 * units.Microsecond)
-	c.PacketDelivered(units.Time(200*units.Microsecond), a)
+	v.PacketDelivered(units.Time(200*units.Microsecond), a)
 
 	if c.DeliveredPackets != 2 {
 		t.Errorf("delivered = %d", c.DeliveredPackets)
@@ -101,10 +104,11 @@ func TestLatencyAccounting(t *testing.T) {
 
 func TestDeliveredPayloadPerNode(t *testing.T) {
 	c := New(0, 1)
-	c.PacketDelivered(0, data(1, 1000))
-	c.PacketDelivered(0, data(1, 500))
-	c.PacketDelivered(0, data(2, 100))
-	c.PacketDelivered(0, ack()) // no payload
+	v := c.View()
+	v.PacketDelivered(0, data(1, 1000))
+	v.PacketDelivered(0, data(1, 500))
+	v.PacketDelivered(0, data(2, 100))
+	v.PacketDelivered(0, ack()) // no payload
 	if got := c.DeliveredPayload(1); got != 1500 {
 		t.Errorf("node 1 payload = %d", got)
 	}
@@ -121,8 +125,9 @@ func TestDeliveredPayloadPerNode(t *testing.T) {
 
 func TestMeanThroughputPerNode(t *testing.T) {
 	c := New(0, 1)
-	c.PacketDelivered(0, data(1, 125000)) // 1 Mbit
-	c.PacketDelivered(0, data(2, 125000)) // 1 Mbit
+	v := c.View()
+	v.PacketDelivered(0, data(1, 125000)) // 1 Mbit
+	v.PacketDelivered(0, data(2, 125000)) // 1 Mbit
 	// 2 Mbit over 1 second over 2 nodes = 1 Mbps per node.
 	got := c.MeanThroughputPerNode(2, 0, units.Time(units.Second))
 	if got != 1*units.Mbps {
@@ -138,10 +143,11 @@ func TestMeanThroughputPerNode(t *testing.T) {
 
 func TestP99Latency(t *testing.T) {
 	c := New(0, 1)
+	v := c.View()
 	for i := 1; i <= 100; i++ {
 		d := data(1, 10)
 		d.SentAt = 0
-		c.PacketDelivered(units.Time(i)*units.Time(units.Microsecond), d)
+		v.PacketDelivered(units.Time(i)*units.Time(units.Microsecond), d)
 	}
 	p99 := c.P99Latency()
 	if p99 < 98*units.Microsecond || p99 > 100*units.Microsecond {
@@ -149,26 +155,13 @@ func TestP99Latency(t *testing.T) {
 	}
 }
 
-func TestQueueOccupancyWatch(t *testing.T) {
-	c := New(0, 1)
-	c.WatchQueues()
-	p := port(t)
-	c.PacketEnqueued(0, p, data(1, 100), qdisc.Enqueued)
-	occ := c.QueueOccupancy()
-	if len(occ) != 1 {
-		t.Fatalf("occupancy map size = %d", len(occ))
-	}
-	if _, ok := occ[p.Label]; !ok {
-		t.Error("occupancy not keyed by port label")
-	}
-}
-
 func TestReservoirModeBoundsSamples(t *testing.T) {
 	c := New(64, 9)
+	v := c.View()
 	for i := 0; i < 10000; i++ {
 		d := data(1, 10)
 		d.SentAt = 0
-		c.PacketDelivered(units.Time(i+1), d)
+		v.PacketDelivered(units.Time(i+1), d)
 	}
 	if c.Latency.N() != 10000 {
 		t.Errorf("N = %d, want 10000", c.Latency.N())
@@ -194,6 +187,7 @@ func TestKindCountsTotal(t *testing.T) {
 // erased by an idle sibling that enqueues (and observes ~0) frequently.
 func TestTierOccupancySumsPorts(t *testing.T) {
 	c := New(0, 1)
+	v := c.View()
 	sick, idle := port(t), port(t)
 	c.SetPortTier(sick, TierCoreUp)
 	c.SetPortTier(idle, TierCoreUp)
@@ -203,11 +197,11 @@ func TestTierOccupancySumsPorts(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sick.Queue().Enqueue(0, data(1, 100))
 	}
-	c.PacketEnqueued(0, sick, data(1, 100), qdisc.Enqueued)
+	v.PacketEnqueued(0, sick, data(1, 100), qdisc.Enqueued)
 
 	// The idle port enqueues often, each time with an empty queue behind it.
 	for i := 1; i <= 9; i++ {
-		c.PacketEnqueued(units.Time(i)*units.Time(units.Second), idle, data(1, 100), qdisc.Enqueued)
+		v.PacketEnqueued(units.Time(i)*units.Time(units.Second), idle, data(1, 100), qdisc.Enqueued)
 	}
 
 	got := c.TierOccupancyAt(TierCoreUp, 10)

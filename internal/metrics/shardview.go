@@ -5,7 +5,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/qdisc"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -22,66 +21,46 @@ type delivery struct {
 	dst     packet.NodeID
 }
 
-// ShardView is the per-shard face of a Collector in a sharded run. Counter
-// updates and queue-occupancy observations are order-free (integer-additive,
-// or confined to one port and therefore one shard), so the view applies them
-// locally without synchronization. Delivery observations are NOT order-free
-// — they feed reservoir sampling and float accumulation on the shared
-// collector — so the view only buffers them; the group coordinator replays
-// all shards' buffers at each barrier via Collector.ReplayDeliveries.
+// ShardView is the face of a Collector that observes one shard: the netsim
+// observer through which the collector sees the fabric.
 //
-// With one shard the Collector itself is the observer and none of this
-// machinery exists on the hot path.
+// A serial run's one view (View) writes the collector's own counters and
+// applies each delivery as it happens. In a sharded run each shard has its
+// own view (ShardView). Verdict counts and tier occupancy are order-free
+// (integer-additive, or confined to one port and therefore one shard), so
+// that view applies them locally without synchronization. Delivery
+// observations are NOT order-free — they feed reservoir sampling and float
+// accumulation on the shared collector — so it only buffers them; the group
+// coordinator replays all shards' buffers at each barrier via
+// Collector.ReplayDeliveries.
 type ShardView struct {
-	c   *Collector
+	c *Collector
+	// eng is the shard's engine; nil for a serial run's view, which applies
+	// deliveries at once instead of buffering them.
 	eng *sim.Engine
-
-	// Shard-local verdict counters, folded into the collector by MergeShard
-	// after the run.
-	Enqueued        KindCounts
-	Marked          KindCounts
-	EarlyDropped    KindCounts
-	OverflowDropped KindCounts
-
-	// Shard-local per-port occupancy trackers (WatchQueues). Ports are
-	// partitioned across shards, so the per-shard maps have disjoint key
-	// sets and merge losslessly.
-	occupancy map[*netsim.Port]*stats.TimeWeighted
+	// counts is where verdicts are counted: the collector's own in a serial
+	// run, local otherwise (folded in by MergeShard after the run).
+	counts *verdicts
+	local  verdicts
 
 	deliveries []delivery
 }
 
-// ShardView creates the observer for one shard, whose events run on eng.
+// View creates the observer of a serial run: it counts straight into the
+// collector and applies deliveries in the order they happen.
+func (c *Collector) View() *ShardView { return &ShardView{c: c, counts: &c.verdicts} }
+
+// ShardView creates the observer for one shard of a sharded run, whose
+// events run on eng.
 func (c *Collector) ShardView(eng *sim.Engine) *ShardView {
 	v := &ShardView{c: c, eng: eng}
-	if c.watchQueues {
-		v.occupancy = make(map[*netsim.Port]*stats.TimeWeighted)
-	}
+	v.counts = &v.local
 	return v
 }
 
 // PacketEnqueued implements netsim.Observer on the shard.
 func (v *ShardView) PacketEnqueued(now units.Time, port *netsim.Port, p *packet.Packet, verdict qdisc.Verdict) {
-	k := p.Kind()
-	switch verdict {
-	case qdisc.Enqueued:
-		v.Enqueued.Add(k)
-	case qdisc.EnqueuedMarked:
-		v.Enqueued.Add(k)
-		v.Marked.Add(k)
-	case qdisc.DroppedEarly:
-		v.EarlyDropped.Add(k)
-	case qdisc.DroppedOverflow:
-		v.OverflowDropped.Add(k)
-	}
-	if v.c.watchQueues {
-		w := v.occupancy[port]
-		if w == nil {
-			w = &stats.TimeWeighted{}
-			v.occupancy[port] = w
-		}
-		w.Observe(now.Seconds(), float64(port.Queue().Len()))
-	}
+	v.counts.add(p.Kind(), verdict)
 	if v.c.watchTiers {
 		// tierPortOcc is registered before the run and read-only during it;
 		// each tracker belongs to one port and hence one shard, so the
@@ -92,8 +71,13 @@ func (v *ShardView) PacketEnqueued(now units.Time, port *netsim.Port, p *packet.
 	}
 }
 
-// PacketDelivered implements netsim.Observer on the shard: buffer only.
+// PacketDelivered implements netsim.Observer on the shard: a serial run's
+// view applies the delivery, a shard's view buffers it for the replay.
 func (v *ShardView) PacketDelivered(now units.Time, p *packet.Packet) {
+	if v.eng == nil {
+		v.c.deliverAt(now, p.SentAt, p.Payload, p.Dst.Node)
+		return
+	}
 	v.deliveries = append(v.deliveries, delivery{
 		at:      now,
 		lin:     v.eng.CurrentLineage(),
@@ -144,17 +128,15 @@ func (c *Collector) ReplayDeliveries(views []*ShardView) {
 	}
 }
 
-// MergeShard folds a view's order-free aggregates into the collector and
-// zeroes the view's counters, so merging after every drive call is safe.
+// MergeShard folds a shard view's verdict counts into the collector and
+// zeroes them, so merging after every drive call is safe. A serial run's
+// view counts into the collector directly and has nothing to fold.
 func (c *Collector) MergeShard(v *ShardView) {
-	for i := range v.Enqueued {
-		c.Enqueued[i] += v.Enqueued[i]
-		c.Marked[i] += v.Marked[i]
-		c.EarlyDropped[i] += v.EarlyDropped[i]
-		c.OverflowDropped[i] += v.OverflowDropped[i]
+	for i := range v.local.Enqueued {
+		c.Enqueued[i] += v.local.Enqueued[i]
+		c.Marked[i] += v.local.Marked[i]
+		c.EarlyDropped[i] += v.local.EarlyDropped[i]
+		c.OverflowDropped[i] += v.local.OverflowDropped[i]
 	}
-	v.Enqueued, v.Marked, v.EarlyDropped, v.OverflowDropped = KindCounts{}, KindCounts{}, KindCounts{}, KindCounts{}
-	for port, w := range v.occupancy {
-		c.occupancy[port] = w
-	}
+	v.local = verdicts{}
 }

@@ -17,24 +17,18 @@ import (
 	"repro/internal/units"
 )
 
-// Observer receives fabric-level events for metrics collection. All methods
-// may be called at very high rate; implementations must be cheap.
+// Observer receives fabric-level events: the metrics views, the hybrid
+// engine's fluid controller, the congestion notifier and packet tracers all
+// subscribe to a shard (Shard.Subscribe). All methods may be called at very
+// high rate; implementations must be cheap.
 type Observer interface {
-	// PacketEnqueued reports an Enqueue verdict at a port's qdisc.
+	// PacketEnqueued reports an Enqueue verdict at a port's qdisc, and a
+	// dequeue-time head drop (CoDel) as DroppedEarly.
 	PacketEnqueued(now units.Time, port *Port, p *packet.Packet, v qdisc.Verdict)
 	// PacketDelivered reports final delivery of a packet to its
 	// destination host (after the last hop).
 	PacketDelivered(now units.Time, p *packet.Packet)
 }
-
-// NopObserver ignores every event.
-type NopObserver struct{}
-
-// PacketEnqueued implements Observer.
-func (NopObserver) PacketEnqueued(units.Time, *Port, *packet.Packet, qdisc.Verdict) {}
-
-// PacketDelivered implements Observer.
-func (NopObserver) PacketDelivered(units.Time, *packet.Packet) {}
 
 // Node is anything packets can be handed to: hosts and switches.
 type Node interface {
@@ -44,17 +38,17 @@ type Node interface {
 }
 
 // Shard is one fabric partition's execution domain: its own engine, packet
-// free list, propagation-cell free list, packet-ID namespace and observer.
+// free list, propagation-cell free list, packet-ID namespace and observers.
 // A serial network is exactly one shard; nothing in the hot path branches on
 // the shard count beyond a same-shard pointer comparison per hop.
 type Shard struct {
-	id       int
-	eng      *sim.Engine
-	net      *Network
-	observer Observer
-	pool     packet.Pool
-	propFree []*propCell
-	nextPkt  uint64
+	id        int
+	eng       *sim.Engine
+	net       *Network
+	observers []Observer
+	pool      packet.Pool
+	propFree  []*propCell
+	nextPkt   uint64
 }
 
 // ID returns the shard index.
@@ -62,6 +56,18 @@ func (sh *Shard) ID() int { return sh.id }
 
 // Eng returns the shard's engine.
 func (sh *Shard) Eng() *sim.Engine { return sh.eng }
+
+// Subscribe appends o to the shard's observers. Every event of the shard's
+// ports and hosts reaches every observer, in subscription order; a later
+// subscriber never displaces an earlier one.
+func (sh *Shard) Subscribe(o Observer) { sh.observers = append(sh.observers, o) }
+
+// noteVerdict hands one verdict at port to every observer of the shard.
+func (sh *Shard) noteVerdict(now units.Time, port *Port, pkt *packet.Packet, v qdisc.Verdict) {
+	for _, o := range sh.observers {
+		o.PacketEnqueued(now, port, pkt, v)
+	}
+}
 
 // allocPacket returns a zeroed packet with an ID from the shard's strided
 // namespace: shard i mints i+1, i+1+S, i+1+2S, … so IDs stay unique across
@@ -150,7 +156,7 @@ func NewSharded(engines []*sim.Engine) *Network {
 	}
 	n.shards = make([]*Shard, len(engines))
 	for i, eng := range engines {
-		n.shards[i] = &Shard{id: i, eng: eng, net: n, observer: NopObserver{}}
+		n.shards[i] = &Shard{id: i, eng: eng, net: n}
 	}
 	if len(engines) > 1 {
 		n.lanes = make([][]laneEntry, len(engines)*len(engines))
@@ -164,29 +170,14 @@ func (n *Network) ShardCount() int { return len(n.shards) }
 // Shard returns the i'th partition.
 func (n *Network) Shard(i int) *Shard { return n.shards[i] }
 
-// SetObserver installs the metrics observer on every shard (nil restores
-// the no-op). Sharded runs that need per-shard observers use
-// SetShardObserver instead.
-func (n *Network) SetObserver(o Observer) {
+// Subscribe appends o to every shard's observers. o then runs on every
+// shard's worker, so it may write only state that belongs to the port or
+// host an event names.
+func (n *Network) Subscribe(o Observer) {
 	for _, sh := range n.shards {
-		sh.observer = normalizeObserver(o)
+		sh.Subscribe(o)
 	}
 }
-
-// SetShardObserver installs an observer on a single shard.
-func (n *Network) SetShardObserver(i int, o Observer) {
-	n.shards[i].observer = normalizeObserver(o)
-}
-
-func normalizeObserver(o Observer) Observer {
-	if o == nil {
-		return NopObserver{}
-	}
-	return o
-}
-
-// Observer returns shard 0's observer.
-func (n *Network) Observer() Observer { return n.shards[0].observer }
 
 // PoolBatch is the free-list depth the barrier tops every shard's packet
 // pool up to (see balancePools).
@@ -424,12 +415,11 @@ func (n *Network) NewPort(owner, peer Node, link LinkParams, q qdisc.Qdisc, labe
 		queue:  q,
 		Label:  label,
 	}
-	// Surface dequeue-time drops (CoDel) to the observer; they would
-	// otherwise be invisible, since the observer only sees enqueue
-	// verdicts.
+	// Surface dequeue-time drops (CoDel) to the observers; they would
+	// otherwise be invisible, since observers only see enqueue verdicts.
 	if hd, ok := q.(qdisc.HeadDropper); ok {
 		hd.SetHeadDropCallback(func(pkt *packet.Packet) {
-			p.sh.observer.PacketEnqueued(p.sh.eng.Now(), p, pkt, qdisc.DroppedEarly)
+			p.sh.noteVerdict(p.sh.eng.Now(), p, pkt, qdisc.DroppedEarly)
 			p.sh.pool.Put(pkt)
 		})
 	}
@@ -470,6 +460,9 @@ func (p *Port) SetLinkRate(r units.Bandwidth) {
 // Peer returns the node at the far end.
 func (p *Port) Peer() Node { return p.peer }
 
+// Shard returns the partition the port's events run on: its owner's.
+func (p *Port) Shard() *Shard { return p.sh }
+
 // Owner returns the node that owns this egress.
 func (p *Port) Owner() Node { return p.owner }
 
@@ -477,12 +470,12 @@ func (p *Port) Owner() Node { return p.owner }
 func (p *Port) Sent() (uint64, units.ByteSize) { return p.sentPackets, p.sentBytes }
 
 // Send offers a packet to the egress queue and starts the transmitter if it
-// is idle. Dropped packets are reported to the observer and released back to
-// the packet pool.
+// is idle. The verdict goes to the shard's observers; a dropped packet then
+// returns to the packet pool.
 func (p *Port) Send(pkt *packet.Packet) {
 	now := p.sh.eng.Now()
 	v := p.queue.Enqueue(now, pkt)
-	p.sh.observer.PacketEnqueued(now, p, pkt, v)
+	p.sh.noteVerdict(now, p, pkt, v)
 	if v.Dropped() {
 		p.sh.pool.Put(pkt)
 		return
@@ -655,7 +648,10 @@ func (h *Host) Receive(pkt *packet.Packet) {
 	if pkt.Dst.Node != h.id {
 		panic(fmt.Sprintf("netsim: host n%d received packet for n%d (misrouted)", h.id, pkt.Dst.Node))
 	}
-	h.sh.observer.PacketDelivered(h.sh.eng.Now(), pkt)
+	now := h.sh.eng.Now()
+	for _, o := range h.sh.observers {
+		o.PacketDelivered(now, pkt)
+	}
 	if h.proto != nil {
 		h.proto.Deliver(pkt)
 	}

@@ -79,7 +79,7 @@ func TestBackToBackSerialization(t *testing.T) {
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
 	n, a, b, _ := twoHosts(eng, link, qdisc.NewDropTail(10))
 	rec := &recorder{}
-	n.SetObserver(rec)
+	n.Subscribe(rec)
 	a.Send(mkPkt(n, a, b, 1460))
 	a.Send(mkPkt(n, a, b, 1460))
 	eng.Run()
@@ -184,7 +184,7 @@ func TestObserverSeesDropsAndDeliveries(t *testing.T) {
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
 	n, a, b, _ := twoHosts(eng, link, qdisc.NewDropTail(1))
 	rec := &recorder{}
-	n.SetObserver(rec)
+	n.Subscribe(rec)
 	// Burst of 5: queue holds 1 + 1 in flight; expect drops.
 	for i := 0; i < 5; i++ {
 		a.Send(mkPkt(n, a, b, 1460))
@@ -258,15 +258,6 @@ func TestPacketIDsUnique(t *testing.T) {
 	}
 }
 
-func TestNilObserverRestoresNop(t *testing.T) {
-	eng := sim.New()
-	n := New(eng)
-	n.SetObserver(nil)
-	if n.Observer() == nil {
-		t.Fatal("observer nil after SetObserver(nil)")
-	}
-}
-
 func TestOnSentHookFires(t *testing.T) {
 	eng := sim.New()
 	link := LinkParams{Rate: 1 * units.Gbps, Delay: 0}
@@ -285,7 +276,7 @@ func TestOnSentHookFires(t *testing.T) {
 
 func TestHeadDropperSurfacedToObserver(t *testing.T) {
 	// A port wrapping a CoDel queue must report dequeue-time drops to the
-	// network observer as early drops.
+	// shard's observers as early drops.
 	eng := sim.New()
 	net := New(eng)
 	a := net.NewHost("a")
@@ -297,7 +288,7 @@ func TestHeadDropperSurfacedToObserver(t *testing.T) {
 	a.AttachUplink(port)
 	bHost.AttachProtocol(&sinkProto{})
 	rec := &recorder{}
-	net.SetObserver(rec)
+	net.Subscribe(rec)
 
 	// Flood with ACKs at a rate far beyond the 1 Mbps drain: sojourn grows
 	// well past target and CoDel starts dropping at the head.
@@ -315,6 +306,119 @@ func TestHeadDropperSurfacedToObserver(t *testing.T) {
 	}
 	if early == 0 {
 		t.Error("CoDel head drops never reached the observer")
+	}
+}
+
+// headDropQueue is a FIFO that, like CoDel, drops at dequeue time: the head
+// packet whose Seq is dropSeq goes to the head-drop callback instead of the
+// transmitter.
+type headDropQueue struct {
+	*qdisc.DropTail
+	dropSeq uint64
+	onDrop  func(*packet.Packet)
+}
+
+func (q *headDropQueue) SetHeadDropCallback(fn func(*packet.Packet)) { q.onDrop = fn }
+
+func (q *headDropQueue) Dequeue(now units.Time) *packet.Packet {
+	p := q.DropTail.Dequeue(now)
+	if p != nil && p.Seq == q.dropSeq {
+		q.onDrop(p)
+		p = q.DropTail.Dequeue(now)
+	}
+	return p
+}
+
+// sighting is one subscriber's sight of one event.
+type sighting struct {
+	shard, sub int
+	site       string
+	id         uint64
+}
+
+// siteLog is subscriber sub of a shard; it appends what it sees to a log
+// every subscriber shares.
+type siteLog struct {
+	shard, sub int
+	log        *[]sighting
+}
+
+func (l siteLog) PacketEnqueued(_ units.Time, _ *Port, p *packet.Packet, v qdisc.Verdict) {
+	site := "enqueue"
+	if v == qdisc.DroppedEarly {
+		site = "head drop"
+	}
+	*l.log = append(*l.log, sighting{l.shard, l.sub, site, p.ID})
+}
+
+func (l siteLog) PacketDelivered(_ units.Time, p *packet.Packet) {
+	*l.log = append(*l.log, sighting{l.shard, l.sub, "delivery", p.ID})
+}
+
+// TestSubscribersSeeEveryEventInOrder: each fan-out site — the enqueue
+// verdict in Port.Send, the head drop NewPort registers with the qdisc, and
+// the delivery in Host.Receive — hands its event to every subscriber of the
+// port's or host's own shard, one after another in subscription order. The
+// hosts sit on the last shard, so with two shards an event handed to shard
+// 0's subscribers fails too.
+func TestSubscribersSeeEveryEventInOrder(t *testing.T) {
+	const subs = 3
+	run := func(shards int) []sighting {
+		engines := make([]*sim.Engine, shards)
+		for i := range engines {
+			engines[i] = sim.New()
+		}
+		n := NewSharded(engines)
+		var log []sighting
+		for sh := 0; sh < shards; sh++ {
+			for sub := 0; sub < subs; sub++ {
+				n.Shard(sh).Subscribe(siteLog{sh, sub, &log})
+			}
+		}
+		last := shards - 1
+		a, b := n.NewHostOn(last, "a"), n.NewHostOn(last, "b")
+		q := &headDropQueue{DropTail: qdisc.NewDropTail(8), dropSeq: 1}
+		a.AttachUplink(newPort(n, a, b, LinkParams{Rate: units.Gbps}, q))
+		b.AttachProtocol(&sinkProto{})
+		// Packet 0 starts serializing at once; 1 and 2 wait behind it, and
+		// the next dequeue drops 1 at the head.
+		for seq := uint64(0); seq < 3; seq++ {
+			p := mkPkt(n, a, b, 100)
+			p.Seq = seq
+			a.Send(p)
+		}
+		engines[last].Run()
+		return log
+	}
+	cases := []struct {
+		site   string
+		events int
+	}{
+		{"enqueue", 3},
+		{"head drop", 1},
+		{"delivery", 2},
+	}
+	for _, shards := range []int{1, 2} {
+		log := run(shards)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.site, shards), func(t *testing.T) {
+				var got []sighting
+				for _, s := range log {
+					if s.site == tc.site {
+						got = append(got, s)
+					}
+				}
+				if len(got) != tc.events*subs {
+					t.Fatalf("%d sightings, want %d events x %d subscribers: %+v", len(got), tc.events, subs, got)
+				}
+				for i, s := range got {
+					want := sighting{shard: shards - 1, sub: i % subs, site: tc.site, id: got[i-i%subs].id}
+					if s != want {
+						t.Errorf("sighting %d = %+v, want %+v", i, s, want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/packet"
+	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -80,8 +81,7 @@ type NotifyStats struct {
 
 // notifyPort is the notifier's view of one tracked egress port.
 type notifyPort struct {
-	port  *Port
-	shard int
+	port *Port
 	// feeders are tracked switch egresses whose peer is this port's owner:
 	// the upstream hops whose ECMP choice decides whether traffic reaches
 	// this port at all. A hot spine->leaf down-port is invisible to the
@@ -89,8 +89,8 @@ type notifyPort struct {
 	// too — steering new flows off the congested switch entirely.
 	feeders []*Port
 
-	// Episode state written by the owning shard during parallel windows (the
-	// observer tee) and read/reset in control context. The barrier protocol
+	// Episode state written by the owning shard during parallel windows (as
+	// its observer) and read/reset in control context. The barrier protocol
 	// parks every worker before a control event runs, so these cross the
 	// goroutine boundary only through that synchronization.
 	armed bool
@@ -123,8 +123,8 @@ const minGateDiv = 16
 // Notifier implements switch-originated congestion notifications over a
 // shard group. Build one per cluster with NewNotifier, Track every switch
 // egress that can congest, RegisterHost every throttleable source, and
-// install a shard observer tee that forwards enqueue verdicts to
-// NoteEnqueue.
+// subscribe it to the network (Network.Subscribe): it observes every
+// enqueue verdict on the port's own shard.
 type Notifier struct {
 	g   *sim.Group
 	net *Network
@@ -165,7 +165,7 @@ func (n *Notifier) Track(p *Port) {
 	if p == nil || p.noti != nil {
 		return
 	}
-	np := &notifyPort{port: p, shard: p.sh.id}
+	np := &notifyPort{port: p}
 	p.noti = np
 	for _, o := range n.tracked {
 		if _, ok := o.port.owner.(*Switch); ok && o.port.peer == p.owner {
@@ -187,13 +187,13 @@ func (n *Notifier) RegisterHost(h *Host) {
 	n.hosts[h.id] = &throttleHost{up: h.uplink, line: h.uplink.link.Rate}
 }
 
-// NoteEnqueue observes one enqueue verdict on the owning shard (the observer
-// tee). If the port is tracked and its queue sits at or above the threshold,
-// the packet's source is recorded for throttling and — unless a notification
-// is already in flight or the episode is rate-limited — one notification
-// control event is routed at now+Lag, ordered exactly where a serial engine
-// would place it.
-func (n *Notifier) NoteEnqueue(shard int, now units.Time, port *Port, pkt *packet.Packet) {
+// PacketEnqueued implements Observer: it sees every enqueue verdict on the
+// port's own shard. If the port is tracked and its queue sits at or above
+// the threshold, the packet's source is recorded for throttling and —
+// unless a notification is already in flight or the episode is
+// rate-limited — one notification control event is routed at now+Lag,
+// ordered exactly where a serial engine would place it.
+func (n *Notifier) PacketEnqueued(now units.Time, port *Port, pkt *packet.Packet, _ qdisc.Verdict) {
 	np := port.noti
 	if np == nil || port.queue.Len() < n.cfg.Threshold {
 		return
@@ -215,9 +215,12 @@ func (n *Notifier) NoteEnqueue(shard int, now units.Time, port *Port, pkt *packe
 		return
 	}
 	np.armed = true
-	eng := n.g.Shards()[shard]
-	n.g.ScheduleControl(shard, now.Add(n.cfg.Lag), eng.ChildLineage(), func() { n.fire(np) })
+	sh := port.sh
+	n.g.ScheduleControl(sh.id, now.Add(n.cfg.Lag), sh.eng.ChildLineage(), func() { n.fire(np) })
 }
+
+// PacketDelivered implements Observer; a delivery raises no notification.
+func (n *Notifier) PacketDelivered(units.Time, *packet.Packet) {}
 
 // fire is the notification control event: mark the hot port (and its
 // feeders) for reselection, gate the recorded sources, and open the

@@ -147,8 +147,8 @@ type Snapshotter interface {
 
 // HeadDropper is implemented by disciplines that can drop packets at
 // dequeue time (CoDel's sojourn-based drops). The fabric registers a
-// callback so such drops reach the metrics observer, which otherwise only
-// sees enqueue verdicts.
+// callback so such drops reach the shard's observers, which otherwise only
+// see enqueue verdicts.
 type HeadDropper interface {
 	SetHeadDropCallback(func(p *packet.Packet))
 }

@@ -198,55 +198,6 @@ func (s *Sample) Quantile(q float64) float64 {
 // Percentile is Quantile with p in [0,100].
 func (s *Sample) Percentile(p float64) float64 { return s.Quantile(p / 100) }
 
-// Histogram is a fixed-bin linear histogram with overflow/underflow bins.
-type Histogram struct {
-	lo, hi float64
-	bins   []uint64
-	under  uint64
-	over   uint64
-	n      uint64
-}
-
-// NewHistogram builds a histogram of nbins over [lo,hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]uint64, nbins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		i := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i == len(h.bins) {
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bins returns the bin counts (excluding under/overflow).
-func (h *Histogram) Bins() []uint64 { return h.bins }
-
-// Outliers returns (underflow, overflow) counts.
-func (h *Histogram) Outliers() (uint64, uint64) { return h.under, h.over }
-
-// BinBounds returns the [lo,hi) range of bin i.
-func (h *Histogram) BinBounds(i int) (float64, float64) {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
-
 // Windowed partitions timestamped observations into fixed-width time
 // windows and reports per-window statistics — the steady-state view the
 // multi-tenant experiments need (P50/P99 latency per measurement window)

@@ -156,51 +156,6 @@ func TestQuantileMatchesSortReference(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	under, over := h.Outliers()
-	if under != 1 {
-		t.Errorf("underflow = %d, want 1", under)
-	}
-	if over != 2 {
-		t.Errorf("overflow = %d, want 2", over)
-	}
-	bins := h.Bins()
-	want := []uint64{2, 1, 1, 0, 1} // [0,2):0,1.9 [2,4):2 [4,6):5 [8,10):9.99
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (bins=%v)", i, bins[i], want[i], bins)
-		}
-	}
-	if h.N() != 8 {
-		t.Errorf("N = %d", h.N())
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BinBounds(1) = [%g,%g)", lo, hi)
-	}
-}
-
-func TestHistogramInvalidShapePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 10, 5) },
-		func() { NewHistogram(10, 0, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestTimeWeightedMean(t *testing.T) {
 	var w TimeWeighted
 	w.Observe(0, 10) // value 10 during [0,2)

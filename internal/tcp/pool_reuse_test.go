@@ -68,7 +68,7 @@ func TestPacketPoolNoAliasing(t *testing.T) {
 		return qdisc.NewRED(cfg)
 	})
 	det := newAliasDetector(t)
-	tn.cluster.Net.SetObserver(det)
+	tn.cluster.Net.Subscribe(det)
 
 	// Incast onto host 0: five synchronized senders collapse onto one
 	// egress port, forcing both AQM early drops (non-ECT ACKs/SYNs) and

@@ -60,7 +60,7 @@ func TestECNNegotiationMatrix(t *testing.T) {
 			t.Run(cv.String()+"->"+sv.String(), func(t *testing.T) {
 				tn := buildMixedNet(t, []tcp.Variant{cv, sv}, droptailFactory(1000))
 				sawECT := false
-				tn.cluster.Net.SetObserver(&verdictRecorder{onEnq: func(p *packet.Packet, v qdisc.Verdict) {
+				tn.cluster.Net.Subscribe(&verdictRecorder{onEnq: func(p *packet.Packet, v qdisc.Verdict) {
 					if p.Payload > 0 && p.ECN.ECTCapable() {
 						sawECT = true
 					}
@@ -136,7 +136,7 @@ func TestClassicECNLatchClearsAfterCWR(t *testing.T) {
 	tn := buildNet(t, 3, tcp.RenoECN, func(label string, rate units.Bandwidth) qdisc.Qdisc {
 		return qdisc.NewSimpleMark(4096, 30)
 	})
-	tn.cluster.Net.SetObserver(&verdictRecorder{onEnq: func(p *packet.Packet, v qdisc.Verdict) {
+	tn.cluster.Net.Subscribe(&verdictRecorder{onEnq: func(p *packet.Packet, v qdisc.Verdict) {
 		if p.IsPureACK() {
 			if p.HasECE() {
 				ece++

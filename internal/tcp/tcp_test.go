@@ -190,7 +190,7 @@ func TestECNNegotiation(t *testing.T) {
 					t.Errorf("SYN sent as ECT: %v", p)
 				}
 			}}
-			tn.cluster.Net.SetObserver(obs)
+			tn.cluster.Net.Subscribe(obs)
 			tn.stacks[1].Listen(80, func(c *tcp.Conn) {})
 			c := tn.stacks[0].Dial(addrOf(tn, 1, 80))
 			c.Send(1 << 16)

@@ -148,7 +148,7 @@ func TestTSQWakeMatchesFullResume(t *testing.T) {
 			}
 		}
 		log := &uplinkLog{port: up}
-		f.cl.Net.SetObserver(log)
+		f.cl.Net.Subscribe(log)
 		done, doneParked := 0, 0
 		for i, c := range f.conns {
 			c.OnClosed = func() {

@@ -1,8 +1,9 @@
 // Package trace records packet-level fabric events — enqueue verdicts,
 // marks, drops, deliveries — into a bounded ring buffer and renders them as
 // a text trace, in the spirit of NS-2's trace files. A Tracer implements
-// netsim.Observer and can chain to another observer (typically the metrics
-// collector), so tracing composes with measurement.
+// netsim.Observer and subscribes to a shard beside the run's other
+// observers (the metrics view, the fluid controller, the notifier), so
+// tracing leaves the run it watches unchanged.
 package trace
 
 import (
@@ -73,8 +74,6 @@ func (e Event) Format() string {
 
 // Tracer is a bounded-ring netsim.Observer.
 type Tracer struct {
-	next netsim.Observer // chained observer, may be nil
-
 	ring  []Event
 	head  int
 	count int
@@ -84,13 +83,12 @@ type Tracer struct {
 	Filter func(*Event) bool
 }
 
-// New builds a tracer keeping the last capacity events, chaining to next
-// (which may be nil).
-func New(capacity int, next netsim.Observer) *Tracer {
+// New builds a tracer keeping the last capacity events.
+func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		panic("trace: capacity must be positive")
 	}
-	return &Tracer{next: next, ring: make([]Event, capacity)}
+	return &Tracer{ring: make([]Event, capacity)}
 }
 
 // record inserts an event into the ring.
@@ -137,9 +135,6 @@ func (t *Tracer) PacketEnqueued(now units.Time, port *netsim.Port, p *packet.Pac
 		e.Op = OpDropOverflow
 	}
 	t.record(e)
-	if t.next != nil {
-		t.next.PacketEnqueued(now, port, p, v)
-	}
 }
 
 // PacketDelivered implements netsim.Observer.
@@ -147,9 +142,6 @@ func (t *Tracer) PacketDelivered(now units.Time, p *packet.Packet) {
 	e := eventOf(now, p)
 	e.Op = OpDeliver
 	t.record(e)
-	if t.next != nil {
-		t.next.PacketDelivered(now, p)
-	}
 }
 
 // Len returns the number of retained events.

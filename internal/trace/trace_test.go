@@ -16,8 +16,8 @@ import (
 	"repro/internal/units"
 )
 
-// runTraced runs a short congested transfer with a tracer installed,
-// returning the tracer and the chained collector.
+// runTraced runs a short congested transfer with a tracer subscribed after
+// a metrics collector's view, returning the tracer and the collector.
 func runTraced(t *testing.T, capacity int, filter func(*trace.Event) bool) (*trace.Tracer, *metrics.Collector) {
 	t.Helper()
 	eng := sim.New()
@@ -30,9 +30,10 @@ func runTraced(t *testing.T, capacity int, filter func(*trace.Event) bool) (*tra
 		},
 	})
 	col := metrics.New(0, 1)
-	tr := trace.New(capacity, col)
+	tr := trace.New(capacity)
 	tr.Filter = filter
-	cl.Net.SetObserver(tr)
+	cl.Net.Subscribe(col.View())
+	cl.Net.Subscribe(tr)
 
 	stats := &tcp.Stats{}
 	var stacks []*tcp.Stack
@@ -50,13 +51,15 @@ func runTraced(t *testing.T, capacity int, filter func(*trace.Event) bool) (*tra
 	return tr, col
 }
 
+// TestTracerRecordsAndChains: the tracer records the run while the
+// collector subscribed beside it on the same shard still sees every event.
 func TestTracerRecordsAndChains(t *testing.T) {
 	tr, col := runTraced(t, 1<<16, nil)
 	if tr.Len() == 0 {
 		t.Fatal("no events recorded")
 	}
 	if col.DeliveredPackets == 0 {
-		t.Fatal("chained collector saw nothing")
+		t.Fatal("the collector beside the tracer saw nothing")
 	}
 	// Deliveries recorded must match the collector's count when the ring
 	// did not evict.
@@ -152,7 +155,7 @@ func TestInvalidCapacityPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	trace.New(0, nil)
+	trace.New(0)
 }
 
 var _ netsim.Observer = (*trace.Tracer)(nil)
