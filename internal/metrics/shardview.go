@@ -89,10 +89,10 @@ func (v *ShardView) PacketDelivered(now units.Time, p *packet.Packet) {
 }
 
 // ReplayDeliveries merges every view's buffered deliveries into the
-// collector in (at, lineage, shard) order — each shard's buffer is already
-// sorted because its engine executes in key order — and resets the buffers.
-// Called by the group coordinator at barriers, with all shard workers
-// parked.
+// collector in (at, lineage, token, shard) order — each shard's buffer is
+// already sorted because its engine executes in key order — and resets the
+// buffers. Called by the group coordinator at barriers, with all shard
+// workers parked.
 func (c *Collector) ReplayDeliveries(views []*ShardView) {
 	if cap(c.replayIdx) < len(views) {
 		c.replayIdx = make([]int, len(views))
@@ -111,8 +111,13 @@ func (c *Collector) ReplayDeliveries(views []*ShardView) {
 				continue
 			}
 			b := &views[best].deliveries[idx[best]]
-			if d.at < b.at || (d.at == b.at && (d.lin != b.lin && d.lin.Less(b.lin) ||
-				d.lin == b.lin && d.tok.Less(b.tok))) {
+			if d.at != b.at {
+				if d.at < b.at {
+					best = i
+				}
+				continue
+			}
+			if o := d.lin.Compare(&b.lin); o < 0 || o == 0 && d.tok.Less(b.tok) {
 				best = i
 			}
 		}

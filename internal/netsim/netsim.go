@@ -6,7 +6,6 @@
 package netsim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -130,8 +129,7 @@ type Network struct {
 	// during serial phases) and is drained by the coordinator at barriers,
 	// so no lane is ever accessed from two goroutines without a barrier
 	// between them.
-	lanes    [][]laneEntry
-	drainBuf []laneEntry
+	lanes [][]laneEntry
 
 	// OnCrossShardArrival, if non-nil, observes every drained handoff with
 	// the destination clock at drain time (test hook for the lookahead
@@ -184,52 +182,41 @@ func (n *Network) Subscribe(o Observer) {
 const PoolBatch = 256
 
 // DrainCrossShard schedules every buffered cross-shard handoff onto its
-// destination engine, in deterministic (arrival time, send time, source
-// shard, emission order) order, with the schedAt key backdated to the send
-// time, and then balances the shards' packet pools. The caller is the group
-// coordinator, at a barrier: every shard worker is parked, so the
-// single-writer lane discipline holds and every pool is the coordinator's.
+// destination engine with its key backdated to the send time, and then
+// balances the shards' packet pools. The caller is the group coordinator,
+// at a barrier: every shard worker is parked, so the single-writer lane
+// discipline holds and every pool is the coordinator's.
+//
+// The drain does not sort. The destination heap orders events by (arrival
+// time, lineage, token) and then by the order they were scheduled in, so
+// scheduling the lanes source by source, each in emission order, fires the
+// handoffs in (arrival time, lineage, token, source shard, emission order),
+// the order a serial engine gives them. Each lineage is copied once, from
+// the lane into the destination's record.
 func (n *Network) DrainCrossShard() {
 	s := len(n.shards)
 	if s == 1 {
 		return
 	}
-	for dst := 0; dst < s; dst++ {
-		buf := n.drainBuf[:0]
-		for src := 0; src < s; src++ {
-			lane := n.lanes[dst*s+src]
-			if len(lane) == 0 {
-				continue
-			}
-			buf = append(buf, lane...)
-			for i := range lane {
-				lane[i] = laneEntry{}
-			}
-			n.lanes[dst*s+src] = lane[:0]
-		}
-		if len(buf) == 0 {
-			n.drainBuf = buf
-			continue
-		}
-		// Stable sort on (at, lineage, token): appended src-major, so ties
-		// keep (source shard, emission order) — the deterministic drain
-		// order. slices.SortStableFunc swaps in place; sort.SliceStable's
-		// reflection swapper allocates an entry-sized temporary per call.
-		slices.SortStableFunc(buf, compareLane)
-		sh := n.shards[dst]
+	for dst, sh := range n.shards {
 		dstNow := sh.eng.Now()
-		for i := range buf {
-			e := &buf[i]
-			if e.at < dstNow {
-				panic(fmt.Sprintf("netsim: lookahead violation: cross-shard arrival at %v drained after shard %d reached %v", e.at, dst, dstNow))
+		lanes := n.lanes[dst*s : (dst+1)*s]
+		for src, lane := range lanes {
+			for i := range lane {
+				e := &lane[i]
+				if e.at < dstNow {
+					panic(fmt.Sprintf("netsim: lookahead violation: cross-shard arrival at %v drained after shard %d reached %v", e.at, dst, dstNow))
+				}
+				if n.OnCrossShardArrival != nil {
+					n.OnCrossShardArrival(dst, e.at, dstNow)
+				}
+				sh.eng.ScheduleArgKey(e.at, &e.lin, e.tok, propArrive, sh.newPropCell(e.peer, e.pkt))
+				// Only the pointers need clearing: the lane's next append
+				// overwrites the rest.
+				e.peer, e.pkt = nil, nil
 			}
-			if n.OnCrossShardArrival != nil {
-				n.OnCrossShardArrival(dst, e.at, dstNow)
-			}
-			sh.eng.ScheduleArgKey(e.at, e.lin, e.tok, propArrive, sh.newPropCell(e.peer, e.pkt))
-			*e = laneEntry{}
+			lanes[src] = lane[:0]
 		}
-		n.drainBuf = buf[:0]
 	}
 	n.balancePools()
 }
@@ -252,17 +239,6 @@ func (n *Network) balancePools() {
 			}
 		}
 	}
-}
-
-// compareLane orders two handoffs by (arrival time, lineage, token).
-func compareLane(a, b laneEntry) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	if c := a.lin.Compare(b.lin); c != 0 {
-		return c
-	}
-	return a.tok.Compare(b.tok)
 }
 
 // PendingCrossShard reports whether any handoff lane holds undrained

@@ -12,11 +12,13 @@ import (
 // one round per time window, and windows are microseconds of simulated time
 // — hundreds of thousands of rounds per run — so the release/join cycle must
 // cost well under a mutex+condvar handoff. Workers therefore spin on an
-// atomic epoch (yielding to the Go scheduler each iteration, so
-// oversubscribed hosts and the race detector stay healthy) instead of
-// parking on a sync primitive. Running shard 0 on the coordinator keeps one
-// goroutine per shard busy during a round instead of adding a spinning
-// coordinator on top.
+// atomic epoch instead of parking on a sync primitive. Each wait re-reads
+// its atomic up to spinLoads times before it yields to the Go scheduler, and
+// then spins again: the yield keeps GOMAXPROCS(1), oversubscribed hosts and
+// the race detector making progress, and the bounded spin keeps the waits
+// that end within it out of the scheduler. Running shard 0 on
+// the coordinator keeps one goroutine per shard busy during a round instead
+// of adding a spinning coordinator on top.
 //
 // All cross-worker data handoff rides on the epoch/join atomics: writes made
 // by the coordinator before Round happen-before the workers' fn, and writes
@@ -43,12 +45,22 @@ func NewShardSet(n int, fn func(shard int)) *ShardSet {
 	return s
 }
 
+// spinLoads is how many times a barrier wait re-reads its atomic before it
+// yields: about 150 ns of loads that hit the cache. On a 2-vCPU host the 2-shard hotspot cell
+// ran slowest, in wall and CPU time, with no spin, and within a few percent
+// of its best from 256 to 16,384 loads; with more shards than Ps, 4,096
+// loads ran 1.2–2.3× as long as 256 (DESIGN.md §2.6 has the table).
+const spinLoads = 256
+
 // worker spins for the next epoch, runs the shard body, and reports in.
 func (s *ShardSet) worker(shard int) {
 	defer s.exited.Done()
 	seen := uint64(0)
 	for {
 		e := s.epoch.Load()
+		for i := 0; e == seen && i < spinLoads; i++ {
+			e = s.epoch.Load()
+		}
 		if e == seen {
 			if s.closing.Load() {
 				return
@@ -69,7 +81,15 @@ func (s *ShardSet) Round() {
 	s.joined.Store(0)
 	s.epoch.Add(1)
 	s.fn(0)
-	for s.joined.Load() != int64(s.n-1) {
+	want := int64(s.n - 1)
+	for {
+		j := s.joined.Load()
+		for i := 0; j != want && i < spinLoads; i++ {
+			j = s.joined.Load()
+		}
+		if j == want {
+			return
+		}
 		runtime.Gosched()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pool"
 )
@@ -37,6 +38,33 @@ func TestShardSetRunsEveryShardOncePerRound(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// TestShardSetProgressesOnOneP runs 1,000 rounds of 4 shards on one P. A
+// barrier wait must yield after its bounded spin: one that spins without
+// yielding holds the only P until the runtime preempts it, about 10 ms
+// later, so every round waits out several preemptions and the rounds take
+// tens of seconds. With the yield they take milliseconds, under the race
+// detector too, so the bound is generous.
+func TestShardSetProgressesOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, rounds, bound = 4, 1000, 5 * time.Second
+	runs := make([]int, n)
+	s := pool.NewShardSet(n, func(shard int) { runs[shard]++ })
+	defer s.Close()
+	start := time.Now()
+	for r := 1; r <= rounds; r++ {
+		s.Round()
+		if el := time.Since(start); el > bound {
+			t.Fatalf("%d of %d rounds took %v on one P, over the %v bound", r, rounds, el, bound)
+		}
+	}
+	for shard, got := range runs {
+		if got != rounds {
+			t.Errorf("shard %d ran %d times in %d rounds", shard, got, rounds)
+		}
+	}
+	t.Logf("%d rounds of %d shards on one P in %v", rounds, n, time.Since(start))
 }
 
 // TestShardSetCloseWaitsForWorkers checks that Close returns only after the

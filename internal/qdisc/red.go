@@ -161,9 +161,17 @@ type RED struct {
 	rand *rng.Source
 
 	avg       float64 // EWMA of queue length (packets or bytes per ByteMode)
-	count     int     // packets since last mark/drop while in [min,max)
 	idleSince units.Time
-	idle      bool
+	// pktTime is the drain time of one mean-size packet, the unit of the
+	// idle decay. cfg never changes after NewRED, so it is computed once.
+	pktTime units.Duration
+	// count is the packets since the last mark or drop while in [min,max);
+	// it resets whenever the average leaves that range. It is an int32, so
+	// that it shares a word with idle and a RED stays in the 192-byte size
+	// class (a fabric builds one per switch port, 10,240 in the 4096-node
+	// cell); overflowing it takes 2^31 arrivals in a row with neither.
+	count int32
+	idle  bool
 
 	// Diagnostics.
 	marks, earlyDrops, overflowDrops uint64
@@ -180,10 +188,11 @@ func NewRED(cfg REDConfig) *RED {
 		panic(err)
 	}
 	return &RED{
-		cfg:  cfg,
-		q:    newFIFO(cfg.CapacityPackets),
-		rand: rng.New(cfg.Seed ^ 0x9d5c_e5a1_b1e2_c3d4),
-		idle: true,
+		cfg:     cfg,
+		q:       newFIFO(cfg.CapacityPackets),
+		rand:    rng.New(cfg.Seed ^ 0x9d5c_e5a1_b1e2_c3d4),
+		idle:    true,
+		pktTime: cfg.DrainRate.TransmitTime(cfg.MeanPacketSize),
 	}
 }
 
@@ -207,9 +216,8 @@ func (r *RED) updateAvg(now units.Time) float64 {
 	if r.idle {
 		// Decay the average across the idle period: pretend m small packets
 		// departed, m = idle_time / typical packet transmit time.
-		pktTime := r.cfg.DrainRate.TransmitTime(r.cfg.MeanPacketSize)
-		if pktTime > 0 {
-			m := float64(now.Sub(r.idleSince)) / float64(pktTime)
+		if r.pktTime > 0 {
+			m := float64(now.Sub(r.idleSince)) / float64(r.pktTime)
 			if m > 0 {
 				r.avg *= math.Pow(1-r.cfg.Wq, m)
 			}

@@ -212,7 +212,7 @@ func (d *lockstep) act() {
 		d.handles = append(d.handles, lockstepHandle{ev, d.ref.schedule(at, lin, Token{}, id)})
 	case r < 8: // explicit lineage and token
 		id, at, lin, tok := d.newID(), now+Time(d.delay()), d.lineage(), d.token()
-		ev := d.eng.ScheduleArgKey(at, lin, tok, d.fireArg, id)
+		ev := d.eng.ScheduleArgKey(at, &lin, tok, d.fireArg, id)
 		d.handles = append(d.handles, lockstepHandle{ev, d.ref.schedule(at, lin, tok, id)})
 	case r < 10: // cancel (a no-op on both sides if the event already ran)
 		if len(d.handles) == 0 {

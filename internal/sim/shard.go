@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/pool"
 )
@@ -72,7 +70,6 @@ type Group struct {
 	horizon  Time
 	parallel bool
 	ctrlBox  [][]ctrlEntry
-	flushBuf []ctrlEntry
 }
 
 // NewGroup builds a group over n shard engines. With n == 1 the control
@@ -144,59 +141,35 @@ func (g *Group) ScheduleControl(shard int, at Time, lin Lineage, fn func()) {
 	g.ctrl.ScheduleLineage(at, lin, fn)
 }
 
-// flushCtrl moves buffered control registrations onto the control engine in
-// deterministic (at, lineage, shard, arrival) order: a stable sort of the
-// boxes appended in shard order. slices.SortStableFunc swaps in place;
-// sort.SliceStable's reflection swapper allocates an entry-sized temporary
-// per call.
+// flushCtrl moves buffered control registrations onto the control engine,
+// box by box in shard order, each in arrival order. It does not sort: the
+// control heap orders events by (at, lineage) and then by the order they
+// were scheduled in, so the registrations fire in (at, lineage, shard,
+// arrival) order.
 func (g *Group) flushCtrl() {
-	buf := g.flushBuf[:0]
-	for _, box := range g.ctrlBox {
-		buf = append(buf, box...)
+	for i, box := range g.ctrlBox {
+		for j := range box {
+			g.ctrl.ScheduleLineage(box[j].at, box[j].lin, box[j].fn)
+			box[j].fn = nil
+		}
+		g.ctrlBox[i] = box[:0]
 	}
-	if len(buf) == 0 {
-		g.flushBuf = buf
-		return
-	}
-	for i := range g.ctrlBox {
-		g.ctrlBox[i] = g.ctrlBox[i][:0]
-	}
-	slices.SortStableFunc(buf, compareCtrl)
-	for i := range buf {
-		g.ctrl.ScheduleLineage(buf[i].at, buf[i].lin, buf[i].fn)
-		buf[i].fn = nil
-	}
-	g.flushBuf = buf[:0]
 }
 
-// compareCtrl orders two control registrations by (at, lineage).
-func compareCtrl(a, b ctrlEntry) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	return a.lin.Compare(b.lin)
-}
-
-// keyLess orders two (lineage, token) key tails lexicographically.
-func keyLess(l1 Lineage, t1 Token, l2 Lineage, t2 Token) bool {
-	if l1 != l2 {
-		return l1.Less(l2)
-	}
-	return t1.Less(t2)
-}
-
-// minShard returns the earliest pending shard event key and its shard.
-func (g *Group) minShard() (at Time, lin Lineage, tok Token, shard int, ok bool) {
+// minShard returns the shard holding the earliest pending shard event and
+// that event's time. It compares the heads in place: the key tail is read
+// from the engines' records only when two heads fire at the same time.
+func (g *Group) minShard() (at Time, shard int, ok bool) {
 	for i, sh := range g.shards {
-		a, l, t, has := sh.PeekKey()
+		a, has := sh.head()
 		if !has {
 			continue
 		}
-		if !ok || a < at || (a == at && keyLess(l, t, lin, tok)) {
-			at, lin, tok, shard, ok = a, l, t, i, true
+		if !ok || a < at || (a == at && headTailLess(sh, g.shards[shard])) {
+			at, shard, ok = a, i, true
 		}
 	}
-	return at, lin, tok, shard, ok
+	return at, shard, ok
 }
 
 // barrier runs the coordinator-side drain hook.
@@ -245,8 +218,8 @@ func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 		g.flushCtrl()
 		g.barrier()
 
-		gAt, gLin, gTok, gOK := g.ctrl.PeekKey()
-		mAt, mLin, mTok, mi, mOK := g.minShard()
+		gAt, gOK := g.ctrl.head()
+		mAt, mi, mOK := g.minShard()
 		if !gOK && !mOK {
 			return RunDeadlock
 		}
@@ -278,7 +251,7 @@ func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 			// tail decide; if the control event is strictly earlier it is
 			// globally next regardless of lineage (a shard event's lineage
 			// starts at its *schedule* time, which can predate everything).
-			if gAt == mAt && !keyLess(gLin, gTok, mLin, mTok) {
+			if gAt == mAt && !headTailLess(g.ctrl, g.shards[mi]) {
 				g.shards[mi].Step()
 				continue
 			}
@@ -288,11 +261,14 @@ func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 		// timestamp — safe: no shard holds an earlier pending event — then
 		// execute it serially so its zero-lag global effects (scheduling on
 		// any engine, cross-shard sends) happen with all workers parked.
+		// gLin points into the control engine's records, which nothing here
+		// writes.
+		gLin, gTok := g.ctrl.headKey()
 		for _, sh := range g.shards {
 			if sh.Now() < gAt {
 				sh.SetNow(gAt)
 			}
-			sh.SetContext(gLin, gTok)
+			sh.setContext(gLin, gTok)
 		}
 		g.ctrl.Step()
 		if deadline != 0 && g.ctrl.Now() > deadline {

@@ -80,8 +80,9 @@ func (l Lineage) Less(m Lineage) bool {
 	return false
 }
 
-// Compare returns -1, 0 or +1 as l sorts before, with or after m.
-func (l Lineage) Compare(m Lineage) int {
+// Compare returns -1, 0 or +1 as l sorts before, with or after m. It takes
+// both lineages by reference, so a comparison copies neither.
+func (l *Lineage) Compare(m *Lineage) int {
 	for i := range l {
 		if l[i] != m[i] {
 			return cmp.Compare(l[i], m[i])
@@ -385,18 +386,19 @@ func (e *Engine) ScheduleLineage(at Time, lin Lineage, fn func()) Event {
 // ScheduleArgLineage is ScheduleLineage in the allocation-free arg form
 // (see ScheduleArg).
 func (e *Engine) ScheduleArgLineage(at Time, lin Lineage, fn func(any), arg any) Event {
-	return e.ScheduleArgKey(at, lin, Token{}, fn, arg)
+	return e.ScheduleArgKey(at, &lin, Token{}, fn, arg)
 }
 
 // ScheduleArgKey is ScheduleArgLineage with an explicit residual-tie token
 // (see Token). The packet fabric passes a content-derived token for every
 // propagation event, local or cross-shard, so both paths order residual
-// lineage ties the same way.
-func (e *Engine) ScheduleArgKey(at Time, lin Lineage, tok Token, fn func(any), arg any) Event {
+// lineage ties the same way. The lineage is read once, into the event's
+// record; the engine keeps no reference to *lin.
+func (e *Engine) ScheduleArgKey(at Time, lin *Lineage, tok Token, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	idx := e.allocKey(at, &lin, tok)
+	idx := e.allocKey(at, lin, tok)
 	s := &e.slots[idx]
 	s.argFn = fn
 	s.arg = arg
@@ -541,9 +543,37 @@ func (e *Engine) PeekKey() (at Time, lin Lineage, tok Token, ok bool) {
 	if len(e.heap) == 0 {
 		return 0, Lineage{}, Token{}, false
 	}
-	top := e.heap[0]
-	s := &e.slots[top.slot]
-	return top.at, e.lins[s.lin].lin, s.tok, true
+	l, t := e.headKey()
+	return e.heap[0].at, *l, t, true
+}
+
+// head returns the firing time of the earliest pending event; ok is false
+// when nothing is pending.
+func (e *Engine) head() (at Time, ok bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
+// headKey returns the lineage and token of the earliest pending event in
+// place: the lineage points into the record slab and is valid until the
+// engine next schedules. The heap must not be empty.
+func (e *Engine) headKey() (*Lineage, Token) {
+	s := &e.slots[e.heap[0].slot]
+	return &e.lins[s.lin].lin, s.tok
+}
+
+// headTailLess reports whether e's earliest pending event sorts before f's
+// by (lineage, token), the key tail that decides between heads firing at
+// the same time. Neither heap may be empty.
+func headTailLess(e, f *Engine) bool {
+	le, te := e.headKey()
+	lf, tf := f.headKey()
+	if c := le.Compare(lf); c != 0 {
+		return c < 0
+	}
+	return te.Less(tf)
 }
 
 // SetContext primes the scheduling context (current lineage and token)
@@ -552,7 +582,12 @@ func (e *Engine) PeekKey() (at Time, lin Lineage, tok Token, ok bool) {
 // shard engine derives the same child lineage a single serial engine would
 // have produced (where the control event IS the last event executed).
 func (e *Engine) SetContext(lin Lineage, tok Token) {
-	r := e.keyRec(&lin)
+	e.setContext(&lin, tok)
+}
+
+// setContext is SetContext reading the lineage in place.
+func (e *Engine) setContext(lin *Lineage, tok Token) {
+	r := e.keyRec(lin)
 	e.lins[r].refs = 1
 	e.dropRec(e.cur)
 	e.cur = r

@@ -427,7 +427,7 @@ func TestCompareAgreesWithLess(t *testing.T) {
 			} else if a != b {
 				want = 1
 			}
-			if got := a.Compare(b); got != want {
+			if got := a.Compare(&b); got != want {
 				t.Errorf("Lineage.Compare = %d, want %d", got, want)
 			}
 		}
