@@ -1,9 +1,12 @@
 package ecnsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tcp"
 )
 
 func TestNewClusterDefaults(t *testing.T) {
@@ -19,6 +22,21 @@ func TestNewClusterDefaults(t *testing.T) {
 	}
 	if c.Label() != "droptail" {
 		t.Errorf("Label = %q", c.Label())
+	}
+}
+
+// TestEveryTCPVariantIsReachable fails on a tcp.Variant that no
+// TransportKind lowers to: no run could select it. It walks both
+// enumerations until String falls back to the numbered form.
+func TestEveryTCPVariantIsReachable(t *testing.T) {
+	lowered := map[tcp.Variant]bool{}
+	for k := 0; k < 256 && TransportKind(k).String() != fmt.Sprintf("transport(%d)", k); k++ {
+		lowered[TransportKind(k).internal()] = true
+	}
+	for v := 0; v < 256 && tcp.Variant(v).String() != fmt.Sprintf("variant(%d)", v); v++ {
+		if !lowered[tcp.Variant(v)] {
+			t.Errorf("tcp variant %v (%d): no TransportKind lowers to it", tcp.Variant(v), v)
+		}
 	}
 }
 

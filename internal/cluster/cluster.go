@@ -581,7 +581,9 @@ func (c *Cluster) mergeShardState() {
 // completions back into control context.
 func (c *Cluster) ScheduleControl(worker int, at units.Time, fn func()) {
 	sid := c.shardOf[worker]
-	c.Group.ScheduleControl(sid, at, c.Group.Shards()[sid].ChildLineage(), fn)
+	var lin sim.Lineage
+	c.Group.Shards()[sid].ChildLineage(&lin)
+	c.Group.ScheduleControl(sid, at, lin, fn)
 }
 
 // ControlLag is the fixed delay hybrid feedback events (shard-context

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mapred"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -66,6 +67,43 @@ func TestShardedBitIdentical(t *testing.T) {
 		if limit := serialFresh + uint64(shards*netsim.PoolBatch); fresh > limit {
 			t.Errorf("%d shards minted %d fresh packets, over the serial run's %d plus %d per shard",
 				shards, fresh, serialFresh, netsim.PoolBatch)
+		}
+	}
+}
+
+// TestShardedDeadlineBitIdentical cuts one job mid-run at deadlines,
+// driven as RunJob drives it, and checks that every shard count stops at the
+// event a serial run stops at: an event at the deadline runs, none after it.
+// Outcome, event count, clock, fabric counters and TCP stats must match.
+func TestShardedDeadlineBitIdentical(t *testing.T) {
+	jobCfg := mapred.TerasortConfig(64*units.MiB, 8)
+	jobCfg.BlockSize = 16 * units.MiB
+	ms := units.Time(units.Millisecond)
+	for _, deadline := range []units.Time{155 * ms, 160*ms + 3, 170*ms + 7} {
+		var want string
+		for _, shards := range []int{1, 2, 4} {
+			spec := leafSpineSpec()
+			spec.Shards = shards
+			c := cluster.New(spec)
+			job := mapred.NewJob(c.Engine, jobCfg, c.Workers)
+			if shards > 1 {
+				job.SetControlPlane(c)
+			}
+			c.Engine.Schedule(ms, job.Start)
+			if out := c.Run(job.Done, deadline); out != sim.RunTimeout {
+				t.Fatalf("deadline %v, %d shards: outcome %v, want RunTimeout", deadline, shards, out)
+			}
+			got := fmt.Sprintf("events=%d now=%d delivered=%d enq=%v marked=%v drops=%v/%v tcp=%+v",
+				c.Events(), c.Now(), c.Metrics.DeliveredPackets, c.Metrics.Enqueued,
+				c.Metrics.Marked, c.Metrics.EarlyDropped, c.Metrics.OverflowDropped, *c.TCP)
+			if c.Now() > deadline {
+				t.Errorf("deadline %v, %d shards: clock %v past the deadline", deadline, shards, c.Now())
+			}
+			if shards == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("deadline %v: %d shards diverged from serial:\n serial: %s\n got:    %s", deadline, shards, want, got)
+			}
 		}
 	}
 }

@@ -50,10 +50,9 @@ func RunIncast(cfg Config, senders int, flowSize units.ByteSize) IncastResult {
 			}
 		})
 	}
-	// Run until idle: the engine's own deadline bounds a wedged run without
+	// Run until idle (RunDeadlock); the deadline bounds a wedged run without
 	// executing an event past it.
-	c.Engine.SetDeadline(units.Time(300 * units.Second))
-	c.Engine.Run()
+	c.Run(func() bool { return false }, units.Time(300*units.Second))
 
 	res.Last = units.Duration(last)
 	if last > 0 {

@@ -381,7 +381,9 @@ func (f *Fluid) PacketEnqueued(now units.Time, port *netsim.Port, _ *packet.Pack
 	}
 	fp.reported = true
 	sh := port.Shard()
-	f.g.ScheduleControl(sh.ID(), now.Add(f.cfg.Lag), sh.Eng().ChildLineage(), func() { f.aqmPromote(fp) })
+	var lin sim.Lineage
+	sh.Eng().ChildLineage(&lin)
+	f.g.ScheduleControl(sh.ID(), now.Add(f.cfg.Lag), lin, func() { f.aqmPromote(fp) })
 }
 
 // PacketDelivered implements netsim.Observer; deliveries do not concern the

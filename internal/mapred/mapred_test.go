@@ -38,11 +38,9 @@ func rig(t testing.TB, n int) (*sim.Engine, []*mapred.Worker) {
 func runJob(t testing.TB, eng *sim.Engine, job *mapred.Job) {
 	t.Helper()
 	eng.Schedule(units.Time(units.Millisecond), job.Start)
-	eng.SetDeadline(units.Time(120 * units.Second))
-	for !job.Done() {
-		if !eng.Step() {
-			t.Fatal("job deadlocked")
-		}
+	eng.RunUntil(units.Time(120 * units.Second))
+	if !job.Done() {
+		t.Fatal("job incomplete at 120 s")
 	}
 }
 

@@ -539,15 +539,14 @@ func (p *Port) transmitNext() {
 		return
 	}
 	n := p.net
-	s := len(n.shards)
-	lane := p.peerSh.id*s + p.sh.id
-	n.lanes[lane] = append(n.lanes[lane], laneEntry{
-		at:   now.Add(tx + p.link.Delay),
-		lin:  eng.ChildLineage(),
-		tok:  pktToken(pkt),
-		peer: p.peer,
-		pkt:  pkt,
-	})
+	lane := &n.lanes[p.peerSh.id*len(n.shards)+p.sh.id]
+	*lane = append(*lane, laneEntry{})
+	h := &(*lane)[len(*lane)-1]
+	h.at = now.Add(tx + p.link.Delay)
+	eng.ChildLineage(&h.lin) // the lineage's one copy
+	h.tok = pktToken(pkt)
+	h.peer = p.peer
+	h.pkt = pkt
 }
 
 // Protocol is the stack a Host delivers packets to (implemented by

@@ -216,7 +216,9 @@ func (n *Notifier) PacketEnqueued(now units.Time, port *Port, pkt *packet.Packet
 	}
 	np.armed = true
 	sh := port.sh
-	n.g.ScheduleControl(sh.id, now.Add(n.cfg.Lag), sh.eng.ChildLineage(), func() { n.fire(np) })
+	var lin sim.Lineage
+	sh.eng.ChildLineage(&lin)
+	n.g.ScheduleControl(sh.id, now.Add(n.cfg.Lag), lin, func() { n.fire(np) })
 }
 
 // PacketDelivered implements Observer; a delivery raises no notification.

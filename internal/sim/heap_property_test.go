@@ -279,7 +279,8 @@ func (d *lockstep) check(op int) {
 	if e.CurrentLineage() != r.cur || e.CurrentToken() != r.curTok {
 		d.t.Fatalf("seed %d op %d: current key differs from the reference", d.seed, op)
 	}
-	if e.ChildLineage() != r.child() {
+	var child Lineage
+	if e.ChildLineage(&child); child != r.child() {
 		d.t.Fatalf("seed %d op %d: child lineage differs from the reference", d.seed, op)
 	}
 	if r.events.Len() > 0 {

@@ -43,7 +43,8 @@ const (
 	RunDone RunOutcome = iota
 	// RunDeadlock: no events remain anywhere but done() is still false.
 	RunDeadlock
-	// RunTimeout: the next event lies past the deadline.
+	// RunTimeout: the next event lies past the deadline. No event after the
+	// deadline has run, at any shard count.
 	RunTimeout
 )
 
@@ -117,9 +118,10 @@ func (g *Group) Executed() uint64 {
 	return n
 }
 
-// Now returns the control engine's clock — the time of the last
+// Now returns the control engine's clock: the time of the last
 // globally-serialized event, which is what a serial run's Now() reports
-// after RunLoop returns.
+// after RunLoop returns RunDone. After RunTimeout it is the time of the last
+// event run on any engine, which a serial run reports too.
 func (g *Group) Now() Time { return g.ctrl.Now() }
 
 // InParallelWindow reports whether shard workers are currently executing a
@@ -184,18 +186,24 @@ func (g *Group) barrier() {
 // unbounded). done is evaluated on the coordinator after every
 // globally-serialized event, matching the serial loop's per-step check —
 // shard-local events cannot change it.
+//
+// A deadline cuts every shard count at the same event: an event at the
+// deadline runs, none after it does, and on RunTimeout Now reads the time of
+// the last event run, as a serial run's clock does.
 func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 	if g.Serial() {
-		// The classic serial loop, verbatim: Shards(1) is not a simulation
-		// of the old engine, it is the old engine.
+		// The classic serial loop: Shards(1) is not a simulation of the old
+		// engine, it is the old engine.
 		e := g.ctrl
 		for !done() {
-			if !e.Step() {
+			at, ok := e.head()
+			if !ok {
 				return RunDeadlock
 			}
-			if deadline != 0 && e.Now() > deadline {
+			if deadline != 0 && at > deadline {
 				return RunTimeout
 			}
+			e.Step()
 		}
 		return RunDone
 	}
@@ -228,6 +236,12 @@ func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 			next = mAt
 		}
 		if deadline != 0 && next > deadline {
+			// Read what a serial run's clock reads: the last event run.
+			last := g.ctrl.Now()
+			for _, sh := range g.shards {
+				last = max(last, sh.Now())
+			}
+			g.ctrl.SetNow(last)
 			return RunTimeout
 		}
 
@@ -235,6 +249,9 @@ func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 			h := mAt.Add(g.lookahead)
 			if gOK && gAt < h {
 				h = gAt
+			}
+			if deadline != 0 && h > deadline {
+				h = deadline + 1 // no shard event after the deadline runs
 			}
 			if h > mAt {
 				// Parallel window [mAt, h): every shard runs its local
@@ -271,9 +288,6 @@ func (g *Group) RunLoop(done func() bool, deadline Time) RunOutcome {
 			sh.setContext(gLin, gTok)
 		}
 		g.ctrl.Step()
-		if deadline != 0 && g.ctrl.Now() > deadline {
-			return RunTimeout
-		}
 	}
 	return RunDone
 }

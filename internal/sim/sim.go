@@ -70,16 +70,6 @@ const LineageDepth = 32
 // levels fall back to the engine-local seq.
 type Lineage [LineageDepth]Time
 
-// Less reports lexicographic order.
-func (l Lineage) Less(m Lineage) bool {
-	for i := range l {
-		if l[i] != m[i] {
-			return l[i] < m[i]
-		}
-	}
-	return false
-}
-
 // Compare returns -1, 0 or +1 as l sorts before, with or after m. It takes
 // both lineages by reference, so a comparison copies neither.
 func (l *Lineage) Compare(m *Lineage) int {
@@ -110,14 +100,6 @@ func (t Token) Less(u Token) bool {
 		return t[0] < u[0]
 	}
 	return t[1] < u[1]
-}
-
-// Compare returns -1, 0 or +1 as t sorts before, with or after u.
-func (t Token) Compare(u Token) int {
-	if t[0] != u[0] {
-		return cmp.Compare(t[0], u[0])
-	}
-	return cmp.Compare(t[1], u[1])
 }
 
 // slot is one slab entry. A slot is recycled (through the free list) only
@@ -215,7 +197,6 @@ type Engine struct {
 	curTok   Token       // token of the event currently executing (see CurrentToken)
 	executed uint64
 	stopped  bool
-	maxTime  Time // 0 means unbounded
 }
 
 // New returns an empty engine at time zero. Record 0 holds the zero lineage,
@@ -233,17 +214,12 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// ChildLineage returns the lineage a child scheduled right now inherits:
-// the current time, then the executing event's own lineage shifted one
-// generation down. This is also the key a cross-engine handoff must carry to
-// re-enter the order a direct schedule would have produced.
-func (e *Engine) ChildLineage() (l Lineage) {
-	e.childInto(&l)
-	return l
-}
-
-// childInto writes ChildLineage into l.
-func (e *Engine) childInto(l *Lineage) {
+// ChildLineage writes into l the lineage a child scheduled right now
+// inherits: the current time, then the executing event's own lineage
+// shifted one generation down. This is also the key a cross-engine handoff
+// must carry to re-enter the order a direct schedule would have produced;
+// a handoff writes it straight into its own entry.
+func (e *Engine) ChildLineage(l *Lineage) {
 	l[0] = e.now
 	copy(l[1:], e.lins[e.cur].lin[:LineageDepth-1])
 }
@@ -279,7 +255,7 @@ func (e *Engine) dropRec(r int32) {
 func (e *Engine) childRec() int32 {
 	if e.child < 0 {
 		r := e.newRec()
-		e.childInto(&e.lins[r].lin)
+		e.ChildLineage(&e.lins[r].lin)
 		e.child = r
 	}
 	return e.child
@@ -383,17 +359,12 @@ func (e *Engine) ScheduleLineage(at Time, lin Lineage, fn func()) Event {
 	return Event{eng: e, slot: idx + 1, gen: e.slots[idx].gen, at: at}
 }
 
-// ScheduleArgLineage is ScheduleLineage in the allocation-free arg form
-// (see ScheduleArg).
-func (e *Engine) ScheduleArgLineage(at Time, lin Lineage, fn func(any), arg any) Event {
-	return e.ScheduleArgKey(at, &lin, Token{}, fn, arg)
-}
-
-// ScheduleArgKey is ScheduleArgLineage with an explicit residual-tie token
-// (see Token). The packet fabric passes a content-derived token for every
-// propagation event, local or cross-shard, so both paths order residual
-// lineage ties the same way. The lineage is read once, into the event's
-// record; the engine keeps no reference to *lin.
+// ScheduleArgKey is ScheduleLineage in the allocation-free arg form (see
+// ScheduleArg), with an explicit residual-tie token (see Token). The packet
+// fabric passes a content-derived token for every propagation event, local
+// or cross-shard, so both paths order residual lineage ties the same way.
+// The lineage is read once, into the event's record; the engine keeps no
+// reference to *lin.
 func (e *Engine) ScheduleArgKey(at Time, lin *Lineage, tok Token, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
@@ -462,19 +433,13 @@ func (e *Engine) release(idx int32, outcome slotState) {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetDeadline makes Run refuse to execute events past t (0 disables).
-func (e *Engine) SetDeadline(t Time) { e.maxTime = t }
-
-// Step executes the single earliest pending event. It reports whether an
-// event was executed.
+// Step executes the single earliest pending event. It reports false, and
+// executes nothing, when no event is pending.
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
 	top := e.heap[0]
-	if e.maxTime != 0 && top.at > e.maxTime {
-		return false // out of time budget; leave it queued
-	}
 	e.heapPopRoot()
 	idx := top.slot
 	s := &e.slots[idx]
@@ -500,8 +465,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain, Stop is called, or the deadline is
-// reached. It returns the final simulated time.
+// Run executes events until none remain or Stop is called. It returns the
+// final simulated time. Bound a run in time with RunUntil, or with
+// Group.RunLoop's deadline.
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for !e.stopped && e.Step() {
@@ -513,13 +479,8 @@ func (e *Engine) Run() Time {
 // to exactly t (if it is in the future). It returns the final time, t.
 func (e *Engine) RunUntil(t Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.heap) == 0 || e.heap[0].at > t {
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= t {
+		e.Step()
 	}
 	if e.now < t {
 		e.now = t
@@ -621,9 +582,7 @@ func (e *Engine) SetNow(t Time) {
 func (e *Engine) RunWindow(horizon Time) int {
 	n := 0
 	for len(e.heap) > 0 && e.heap[0].at < horizon {
-		if !e.Step() {
-			break
-		}
+		e.Step()
 		n++
 	}
 	return n

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 
@@ -153,15 +154,17 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestDeadline bounds a run in time with RunUntil: an event at the deadline
+// runs, one past it stays queued.
 func TestDeadline(t *testing.T) {
 	e := New()
 	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(1000, func() { ran++ })
-	e.SetDeadline(100)
-	e.Run()
-	if ran != 1 {
-		t.Errorf("ran %d events, want 1 (deadline blocks the second)", ran)
+	for _, at := range []Time{10, 100, 1000} {
+		e.Schedule(at, func() { ran++ })
+	}
+	e.RunUntil(100)
+	if ran != 2 {
+		t.Errorf("ran %d events, want 2 (the deadline blocks the third)", ran)
 	}
 	if e.Pending() != 1 {
 		t.Errorf("pending = %d, want 1", e.Pending())
@@ -407,42 +410,35 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCompareAgreesWithLess checks the three-way key comparisons the
-// barrier sorts use against Less and ==, over keys that tie on long
-// prefixes.
+// TestCompareAgreesWithLess checks the key comparisons the event order
+// uses, Lineage.Compare and Token.Less, against keys listed in ascending
+// order, lineages among them that tie on long prefixes.
 func TestCompareAgreesWithLess(t *testing.T) {
-	var ls []Lineage
-	for _, d := range []int{0, 1, LineageDepth - 1} {
-		for v := Time(0); v < 3; v++ {
-			var l Lineage
-			l[d] = v
-			ls = append(ls, l)
-		}
+	one := func(d int, v Time) (l Lineage) {
+		l[d] = v
+		return l
 	}
-	for _, a := range ls {
-		for _, b := range ls {
-			want := 0
-			if a.Less(b) {
-				want = -1
-			} else if a != b {
-				want = 1
-			}
-			if got := a.Compare(&b); got != want {
-				t.Errorf("Lineage.Compare = %d, want %d", got, want)
+	ones := func(last Time) (l Lineage) {
+		for i := range l {
+			l[i] = 1
+		}
+		l[LineageDepth-1] = last
+		return l
+	}
+	ls := []Lineage{{}, one(LineageDepth-1, 1), one(LineageDepth-1, 2), one(1, 1), one(1, 2),
+		one(0, 1), ones(0), ones(1), ones(2), one(0, 2)}
+	for i := range ls {
+		for j := range ls {
+			if got, want := ls[i].Compare(&ls[j]), cmp.Compare(i, j); got != want {
+				t.Errorf("lineage %d Compare lineage %d = %d, want %d", i, j, got, want)
 			}
 		}
 	}
 	toks := []Token{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	for _, a := range toks {
-		for _, b := range toks {
-			want := 0
-			if a.Less(b) {
-				want = -1
-			} else if a != b {
-				want = 1
-			}
-			if got := a.Compare(b); got != want {
-				t.Errorf("Token%v.Compare(%v) = %d, want %d", a, b, got, want)
+	for i, a := range toks {
+		for j, b := range toks {
+			if got := a.Less(b); got != (i < j) {
+				t.Errorf("Token%v.Less(%v) = %v, want %v", a, b, got, i < j)
 			}
 		}
 	}

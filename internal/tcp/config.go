@@ -31,13 +31,6 @@ const (
 	// DCTCP is Data Center TCP: proportional decrease from the fraction of
 	// CE-marked bytes.
 	DCTCP
-	// Cubic is RFC 8312 CUBIC (the Linux default of the paper's era):
-	// cubic-function window growth anchored at the last reduction point,
-	// beta = 0.7.
-	Cubic
-	// CubicECN is CUBIC with classic RFC 3168 ECN negotiation and the
-	// CUBIC beta applied on congestion echoes.
-	CubicECN
 )
 
 // String names the variant.
@@ -49,20 +42,12 @@ func (v Variant) String() string {
 		return "tcp-ecn"
 	case DCTCP:
 		return "dctcp"
-	case Cubic:
-		return "cubic"
-	case CubicECN:
-		return "cubic-ecn"
 	}
 	return fmt.Sprintf("variant(%d)", uint8(v))
 }
 
 // ECNEnabled reports whether the variant negotiates ECN.
-func (v Variant) ECNEnabled() bool { return v == RenoECN || v == DCTCP || v == CubicECN }
-
-// IsCubic reports whether the variant grows its window with the CUBIC
-// function.
-func (v Variant) IsCubic() bool { return v == Cubic || v == CubicECN }
+func (v Variant) ECNEnabled() bool { return v == RenoECN || v == DCTCP }
 
 // Config holds per-stack TCP parameters. The zero value is unusable; start
 // from DefaultConfig.

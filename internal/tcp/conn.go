@@ -82,9 +82,6 @@ type Conn struct {
 	rtoBackoff   int
 	rtxTimer     *sim.Timer
 
-	// CUBIC growth state (used only by the Cubic variants).
-	cubic cubicState
-
 	// Classic-ECN / DCTCP sender state.
 	cwrPending    bool
 	ecnRecoverSeq uint64 // one reaction per window
@@ -602,14 +599,9 @@ func (c *Conn) retransmit() {
 // enterFastRecovery begins SACK-based loss recovery.
 func (c *Conn) enterFastRecovery() {
 	mss := float64(c.cfg.MSS)
-	var nw float64
-	if c.cfg.Variant.IsCubic() {
-		nw = c.cubicOnReduction()
-	} else {
-		nw = float64(c.flightSize()) / 2
-		if nw < 2*mss {
-			nw = 2 * mss
-		}
+	nw := float64(c.flightSize()) / 2
+	if nw < 2*mss {
+		nw = 2 * mss
 	}
 	c.ssthresh = nw
 	c.cwnd = nw
@@ -629,15 +621,11 @@ func (c *Conn) onRTO() {
 	}
 	c.stack.stats.RTOEvents++
 	mss := float64(c.cfg.MSS)
-	if c.cfg.Variant.IsCubic() {
-		c.ssthresh = c.cubicOnReduction()
-	} else {
-		half := float64(c.flightSize()) / 2
-		if half < 2*mss {
-			half = 2 * mss
-		}
-		c.ssthresh = half
+	half := float64(c.flightSize()) / 2
+	if half < 2*mss {
+		half = 2 * mss
 	}
+	c.ssthresh = half
 	c.cwnd = mss
 	c.dupAcks = 0
 	c.inRecovery = false
@@ -790,8 +778,6 @@ func (c *Conn) onNewAck(p *packet.Packet, ack uint64) {
 				inc = 2 * mss
 			}
 			c.cwnd += inc
-		} else if c.cfg.Variant.IsCubic() {
-			c.cubicGrowth(newly)
 		} else {
 			c.cwnd += mss * mss / c.cwnd
 		}
@@ -871,10 +857,6 @@ func (c *Conn) onECE(ack uint64) {
 		}
 		c.ssthresh = half
 		c.cwnd = half
-	case CubicECN:
-		nw := c.cubicOnReduction()
-		c.ssthresh = nw
-		c.cwnd = nw
 	case DCTCP:
 		c.cwnd = c.cwnd * (1 - c.alpha/2)
 		if c.cwnd < 2*mss {

@@ -238,8 +238,7 @@ func TestNonSACKFallbackStillCompletes(t *testing.T) {
 	c.OnClosed = func() { done = true }
 	c.Send(1 << 20)
 	c.Close()
-	tn.eng.SetDeadline(units.Time(30 * units.Second))
-	tn.eng.Run()
+	tn.eng.RunUntil(units.Time(30 * units.Second))
 	if !done {
 		t.Fatal("non-SACK transfer incomplete")
 	}

@@ -149,8 +149,7 @@ func TestRetransmissionRecoversFromOverflowLoss(t *testing.T) {
 		c.Send(size / 2)
 		c.Close()
 	}
-	tn.eng.SetDeadline(units.Time(60 * units.Second))
-	tn.eng.Run()
+	tn.eng.RunUntil(units.Time(60 * units.Second))
 
 	want := units.ByteSize(3 * (size / 2))
 	if got != want {
@@ -321,7 +320,6 @@ func TestSynRetryAfterLoss(t *testing.T) {
 		c := tn.stacks[1].Dial(addrOf(tn, 2, 80))
 		c.OnConnected = func() { connected = true }
 	})
-	tn.eng.SetDeadline(units.Time(30 * units.Second))
 	tn.eng.RunUntil(units.Time(30 * units.Second))
 
 	if !connected {
@@ -380,8 +378,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 	c := tn.stacks[0].Dial(addrOf(tn, 1, 80))
 	c.OnDeliver = func(n int) { clientGot += units.ByteSize(n) }
 	c.Send(size)
-	tn.eng.SetDeadline(units.Time(10 * units.Second))
-	tn.eng.Run()
+	tn.eng.RunUntil(units.Time(10 * units.Second))
 
 	if serverGot != size {
 		t.Errorf("server delivered %d, want %d", serverGot, size)
@@ -409,8 +406,7 @@ func TestManyParallelFlowsAllComplete(t *testing.T) {
 		c.Send(size)
 		c.Close()
 	}
-	tn.eng.SetDeadline(units.Time(60 * units.Second))
-	tn.eng.Run()
+	tn.eng.RunUntil(units.Time(60 * units.Second))
 
 	if done != flows {
 		t.Fatalf("%d of %d flows completed", done, flows)

@@ -174,8 +174,7 @@ func TestTSQWakeMatchesFullResume(t *testing.T) {
 			c.Send(4 << 20)
 			c.Close()
 		}
-		f.eng.SetDeadline(units.Time(5 * units.Second))
-		f.eng.Run()
+		f.eng.RunUntil(units.Time(5 * units.Second))
 		if done != senders {
 			t.Fatalf("reference=%v: %d of %d senders finished", reference, done, senders)
 		}

@@ -46,8 +46,7 @@ func runTraced(t *testing.T, capacity int, filter func(*trace.Event) bool) (*tra
 		c.Send(1 << 20)
 		c.Close()
 	}
-	eng.SetDeadline(units.Time(30 * units.Second))
-	eng.Run()
+	eng.RunUntil(units.Time(30 * units.Second))
 	return tr, col
 }
 
